@@ -2,8 +2,10 @@
 
 Feature maps are channels x height x width arrays kept C-contiguous, so
 ``data.ravel()`` is the row-major flat view. Ops are eager: each returns a
-fresh Tensor carrying a closure that routes the output gradient back to its
-parents. ``Tensor.backward`` walks the graph once in reverse topological
+fresh Tensor carrying a closure that takes the output gradient as its argument
+and routes it back to its parents. The closure never refers to its own output
+tensor, so a graph holds no reference cycle and is freed as soon as its root
+is dropped. ``Tensor.backward`` walks the graph once in reverse topological
 order, accumulating gradients over every path.
 """
 
@@ -21,11 +23,6 @@ __all__ = [
     "record_kinks",
 ]
 
-# Finite-value validation on every created tensor. Cheap at the scales this
-# package targets; the trainer relies on it to catch divergence early.
-VALIDATE_FINITE = True
-
-
 class Tensor:
     """One value node in the differentiation graph.
 
@@ -39,7 +36,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if VALIDATE_FINITE and not np.isfinite(arr).all():
+        # The trainer relies on this check to catch divergence early.
+        if not np.isfinite(arr).all():
             raise FloatingPointError(
                 f"non-finite values in tensor {name or '<anonymous>'}"
             )
@@ -48,7 +46,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self._parents: tuple["Tensor", ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,11 +79,11 @@ class Tensor:
             out = _result(self.data + other.data, (self, other))
             if out.requires_grad:
 
-                def _bw():
+                def _bw(grad):
                     if self.requires_grad:
-                        self.grad += out.grad
+                        self.grad += grad
                     if other.requires_grad:
-                        other.grad += out.grad
+                        other.grad += grad
 
                 out._backward = _bw
             return out
@@ -93,8 +91,8 @@ class Tensor:
         out = _result(self.data + c, (self,))
         if out.requires_grad:
 
-            def _bw():
-                self.grad += out.grad
+            def _bw(grad):
+                self.grad += grad
 
             out._backward = _bw
         return out
@@ -108,11 +106,11 @@ class Tensor:
             out = _result(self.data * other.data, (self, other))
             if out.requires_grad:
 
-                def _bw():
+                def _bw(grad):
                     if self.requires_grad:
-                        self.grad += out.grad * other.data
+                        self.grad += grad * other.data
                     if other.requires_grad:
-                        other.grad += out.grad * self.data
+                        other.grad += grad * self.data
 
                 out._backward = _bw
             return out
@@ -120,8 +118,8 @@ class Tensor:
         out = _result(self.data * c, (self,))
         if out.requires_grad:
 
-            def _bw():
-                self.grad += out.grad * c
+            def _bw(grad):
+                self.grad += grad * c
 
             out._backward = _bw
         return out
@@ -143,8 +141,8 @@ class Tensor:
         out = _result(np.asarray(self.data.sum()), (self,))
         if out.requires_grad:
 
-            def _bw():
-                self.grad += out.grad  # scalar broadcast
+            def _bw(grad):
+                self.grad += grad  # scalar broadcast
 
             out._backward = _bw
         return out
@@ -153,8 +151,8 @@ class Tensor:
         out = _result(self.data.reshape(shape), (self,))
         if out.requires_grad:
 
-            def _bw():
-                self.grad += out.grad.reshape(self.data.shape)
+            def _bw(grad):
+                self.grad += grad.reshape(self.data.shape)
 
             out._backward = _bw
         return out
@@ -174,7 +172,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def _result(data, parents: Sequence[Tensor], name: str | None = None) -> Tensor:

@@ -48,7 +48,6 @@ def _config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode", choices=["end_to_end", "stepwise"], help="override train.mode"
     )
-    p.add_argument("--threads", type=int, help="override eval.threads")
     p.add_argument(
         "--set",
         action="append",
@@ -69,8 +68,6 @@ def _resolve(args) -> RunConfig:
         overrides.append(f"network.recursive={args.recursive}")
     if args.mode is not None:
         overrides.append(f"train.mode={args.mode}")
-    if args.threads is not None:
-        overrides.append(f"eval.threads={args.threads}")
     return load_run_config(args.config, args.profile, overrides)
 
 
@@ -141,9 +138,7 @@ def cmd_eval(args) -> int:
         else:
             probs.append(load_image(Path(args.pred) / f"pred_{name}.pgm"))
         gts.append(LabelImage(sample.segments))
-    scores, best_t, points = best_fscore_sweep(
-        probs, gts, cfg.eval.thresholds(), threads=cfg.eval.threads
-    )
+    scores, best_t, points = best_fscore_sweep(probs, gts, cfg.eval.thresholds())
     out = Path(args.out)
     atomic_write_text(
         out / "scores.txt",
@@ -254,9 +249,7 @@ def cmd_ablate(args) -> int:
         any_aborted = any_aborted or result.aborted
         probs = [result.network.predict(Tensor(s.image)) for _, s in entries]
         gts = [LabelImage(s.segments) for _, s in entries]
-        scores, best_t, _ = best_fscore_sweep(
-            probs, gts, cfg.eval.thresholds(), threads=cfg.eval.threads
-        )
+        scores, best_t, _ = best_fscore_sweep(probs, gts, cfg.eval.thresholds())
         rec = "all" if net_cfg.recursive_mode == "all" else f"single:{net_cfg.recursive_level}"
         rows.append(
             f"{name},{net_cfg.stages},{rec},{mode},{scores.fscore!r},{best_t!r}"

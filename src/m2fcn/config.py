@@ -48,7 +48,6 @@ class EvalParams:
     n_thresholds: int = 33
     threshold_lo: float = 0.02
     threshold_hi: float = 0.98
-    threads: int = 1
 
     def thresholds(self) -> list[float]:
         if self.n_thresholds == 1:
@@ -99,7 +98,6 @@ _TOY = {
     ("eval", "n_thresholds"): "33",
     ("eval", "threshold_lo"): "0.02",
     ("eval", "threshold_hi"): "0.98",
-    ("eval", "threads"): "1",
 }
 
 _PAPER = dict(_TOY)
@@ -252,16 +250,13 @@ def load_run_config(
         beta_mode=get("network", "beta_mode"),
     )
 
-    train_mode = get("train", "mode")
-    if train_mode not in ("end_to_end", "stepwise"):
-        raise ConfigError(f"train.mode must be end_to_end or stepwise, got {train_mode!r}")
     seed = _to_int("run.seed", get("run", "seed"))
     schedule = TrainSchedule(
         phase1_iters=_to_int("train.phase1_iters", get("train", "phase1_iters")),
         phase1_lr=_to_float("train.phase1_lr", get("train", "phase1_lr")),
         phase2_iters=_to_int("train.phase2_iters", get("train", "phase2_iters")),
         phase2_lr=_to_float("train.phase2_lr", get("train", "phase2_lr")),
-        mode=train_mode,
+        mode=get("train", "mode"),
         seed=seed,
         snapshot_every=_to_int("train.snapshot_every", get("train", "snapshot_every")),
         momentum=_to_float("train.momentum", get("train", "momentum")),
@@ -286,12 +281,9 @@ def load_run_config(
         n_thresholds=n_thresholds,
         threshold_lo=_to_float("eval.threshold_lo", get("eval", "threshold_lo")),
         threshold_hi=_to_float("eval.threshold_hi", get("eval", "threshold_hi")),
-        threads=_to_int("eval.threads", get("eval", "threads")),
     )
     if not 0.0 <= evalp.threshold_lo <= evalp.threshold_hi <= 1.0:
         raise ConfigError("eval thresholds must satisfy 0 <= lo <= hi <= 1")
-    if evalp.threads < 1:
-        raise ConfigError("eval.threads must be at least 1")
 
     return RunConfig(
         profile=name,

@@ -16,7 +16,6 @@ score.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,21 +50,6 @@ class LabelImage:
         if ids.min() < 0:
             raise ValueError("label ids must be nonnegative")
         object.__setattr__(self, "ids", ids.astype(np.int32, copy=False))
-
-    def canonicalized(self) -> "LabelImage":
-        """Remap positive ids to 1..K in row-major first-appearance order."""
-        ids = self.ids
-        out = np.zeros_like(ids)
-        remap: dict[int, int] = {}
-        flat = ids.ravel()
-        result = out.ravel()
-        for i, v in enumerate(flat):
-            if v == 0:
-                continue
-            if v not in remap:
-                remap[v] = len(remap) + 1
-            result[i] = remap[v]
-        return LabelImage(out)
 
 
 def _label_components(mask: np.ndarray) -> np.ndarray:
@@ -227,7 +211,6 @@ def best_fscore_sweep(
     prob_maps: list,
     gt_maps: list[LabelImage],
     thresholds,
-    threads: int = 1,
 ) -> tuple[RandScores, float, list[SweepPoint]]:
     """Score every threshold, pooling counts across the whole image stack.
 
@@ -265,12 +248,7 @@ def best_fscore_sweep(
         split = squares / split_denom
         return SweepPoint(t, split, merge, rand_fscore(merge, split))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(sweep_one, thresholds))
-    else:
-        raw = [sweep_one(t) for t in thresholds]
-    points = [pt for pt in raw if pt is not None]
+    points = [pt for pt in map(sweep_one, thresholds) if pt is not None]
     if not points:
         raise ValueError("no threshold produced a scorable segmentation")
     best = points[0]

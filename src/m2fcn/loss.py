@@ -100,9 +100,9 @@ def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
     res = _result(np.asarray(value), (logits,))
     if res.requires_grad:
 
-        def _bw():
+        def _bw(grad):
             ds = w_boundary * _sigmoid(s) - w_background * _sigmoid(-s)
-            logits.grad += (res.grad * ds)[None]
+            logits.grad += (grad * ds)[None]
 
         res._backward = _bw
     return res

@@ -22,7 +22,6 @@ __all__ = [
     "concat_channels",
     "relu",
     "sigmoid",
-    "pointwise",
 ]
 
 
@@ -100,8 +99,8 @@ def conv2d(
     res = _result(out, parents)
     if res.requires_grad:
 
-        def _bw():
-            g = res.grad.reshape(o, ho * wo)
+        def _bw(grad):
+            g = grad.reshape(o, ho * wo)
             if weight.requires_grad:
                 weight.grad += (g @ cols2.T).reshape(weight.shape)
             if bias is not None and bias.requires_grad:
@@ -141,9 +140,9 @@ def maxpool2(x: Tensor) -> Tensor:
     res = _result(out, (x,))
     if res.requires_grad:
 
-        def _bw():
+        def _bw(grad):
             dwin = np.zeros_like(windows)
-            np.put_along_axis(dwin, idx[..., None], res.grad[..., None], axis=-1)
+            np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
             dxp = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, hp, wp)
             dx = dxp[:, :h, :w].copy()
             # Fold gradients of replicated cells back onto their source.
@@ -211,9 +210,9 @@ def upsample(
     res = _result(y, (x, weight))
     if res.requires_grad:
 
-        def _bw():
+        def _bw(grad):
             gfull = np.zeros((c, full_h, full_w))
-            gfull[:, pad : pad + th, pad : pad + tw] = res.grad
+            gfull[:, pad : pad + th, pad : pad + tw] = grad
             if x.requires_grad:
                 dx = np.zeros_like(x.data)
                 for ki in range(k):
@@ -250,12 +249,12 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
     res = _result(out, tuple(parts))
     if res.requires_grad:
 
-        def _bw():
+        def _bw(grad):
             offset = 0
             for p in parts:
                 n = p.shape[0]
                 if p.requires_grad:
-                    p.grad += res.grad[offset : offset + n]
+                    p.grad += grad[offset : offset + n]
                 offset += n
 
         res._backward = _bw
@@ -268,8 +267,8 @@ def relu(x: Tensor) -> Tensor:
     if res.requires_grad:
         mask = x.data > 0.0
 
-        def _bw():
-            x.grad += res.grad * mask
+        def _bw(grad):
+            x.grad += grad * mask
 
         res._backward = _bw
     return res
@@ -289,16 +288,8 @@ def sigmoid(x: Tensor) -> Tensor:
     res = _result(y, (x,))
     if res.requires_grad:
 
-        def _bw():
-            x.grad += res.grad * y * (1.0 - y)
+        def _bw(grad):
+            x.grad += grad * y * (1.0 - y)
 
         res._backward = _bw
     return res
-
-
-def pointwise(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown pointwise kind {kind!r}")

@@ -125,7 +125,7 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
     trainable = [p for p in params.values() if p.requires_grad]
     log: list[dict] = []
     best_loss = np.inf
-    best_state = net.state()
+    best_state = None
     aborted = False
     for it in range(1, iters + 1):
         if not order:
@@ -135,26 +135,25 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             outs = net.forward_all(image)
             loss = total_loss(outs, labels, cfg)
             beta = class_balance_beta(labels, cfg.beta_mode)
-            fused_values = [
-                balanced_ce_value(outs.fused[m].data, labels, beta)
-                for m in range(1, cfg.stages + 1)
-            ]
-            total_value = loss.item()
+            record = {"iteration": log_offset + it, "total": loss.item()}
+            for m in range(1, cfg.stages + 1):
+                record[f"fused{m}"] = balanced_ce_value(outs.fused[m].data, labels, beta)
+            log.append(record)
+            if record["total"] < best_loss:
+                # Taken before the step: these are the parameters whose loss
+                # was just logged.
+                best_loss = record["total"]
+                best_state = net.state()
             zero_grads(trainable)
             loss.backward()
             opt.step()
         except FloatingPointError:
-            # Divergence: roll back to the best parameters seen so far.
-            net.load_state(best_state)
+            # Divergence: roll back to the lowest-loss parameters logged so
+            # far. Without a snapshot no parameter has moved yet.
+            if best_state is not None:
+                net.load_state(best_state)
             aborted = True
             break
-        record = {"iteration": log_offset + it, "total": total_value}
-        for m, v in enumerate(fused_values, start=1):
-            record[f"fused{m}"] = v
-        log.append(record)
-        if total_value < best_loss:
-            best_loss = total_value
-            best_state = net.state()
         if schedule.snapshot_every > 0 and out_dir is not None and it % schedule.snapshot_every == 0:
             from .checkpoint import save_checkpoint
 

@@ -1,12 +1,15 @@
 """Tensor graph mechanics and the finite-difference checker."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import m2fcn.autodiff as ad
 from m2fcn.autodiff import Tensor, grad_check, gradients, zero_grads
+from m2fcn.ops import conv2d, relu
 
 
 def test_linear_gradient():
@@ -73,7 +76,29 @@ def test_shape_mismatch_rejected():
 def test_non_finite_data_rejected():
     with pytest.raises(FloatingPointError):
         Tensor(np.array([1.0, np.inf]))
-    assert ad.VALIDATE_FINITE
+
+
+def test_graph_freed_without_cycle_collector():
+    # No backward closure may refer to its own output tensor: with the
+    # cyclic collector off, dropping the root must free every interior node.
+    # Tensor has no __weakref__ slot, so the weakrefs point at the data arrays.
+    x = Tensor(np.ones((1, 5, 5)))
+    w = Tensor(np.full((2, 1, 3, 3), 0.1), requires_grad=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        conv = conv2d(x, w)
+        act = relu(conv)
+        root = (act * act).sum()
+        interior = [weakref.ref(conv.data), weakref.ref(act.data)]
+        del conv, act
+        root.backward()
+        assert w.grad is not None
+        del root
+        assert [ref() is None for ref in interior] == [True, True]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_detach_blocks_gradient():

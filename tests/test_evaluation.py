@@ -48,12 +48,6 @@ def test_label_image_validation():
         LabelImage(np.array([[0.5, 1.0]]))
 
 
-def test_label_image_canonicalize():
-    li = LabelImage(np.array([[7, 7, 2], [0, 2, 9]]))
-    canon = li.canonicalized()
-    assert np.array_equal(canon.ids, [[1, 1, 2], [0, 2, 3]])
-
-
 # ---- connected components ----
 
 
@@ -318,18 +312,6 @@ def test_sweep_matches_exhaustive_oracle_multi_image():
             best = (f, float(t))
     assert abs(scores.fscore - best[0]) <= 1e-12
     assert best_t == best[1]
-
-
-def test_sweep_threads_agree():
-    rng = np.random.default_rng(8)
-    probs = [rng.random((9, 9)) for _ in range(3)]
-    gts = [
-        LabelImage(1 + (np.arange(81).reshape(9, 9) % 3))
-        for _ in range(3)
-    ]
-    a = best_fscore_sweep(probs, gts, [0.2, 0.5, 0.8], threads=1)
-    b = best_fscore_sweep(probs, gts, [0.2, 0.5, 0.8], threads=3)
-    assert a == b
 
 
 def test_sweep_validation():

@@ -7,6 +7,7 @@ import pytest
 
 from m2fcn.autodiff import Tensor
 from m2fcn.data import synth_corpus
+from m2fcn.loss import total_loss
 from m2fcn.network import NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
 from m2fcn.training import (
@@ -157,18 +158,35 @@ def test_training_is_deterministic():
     assert a.log == b.log
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_divergent_run_rolls_back_and_flags():
-    data = corpus(2)
+def diverged_run(data):
     sched = TrainSchedule(phase1_iters=0, phase2_iters=40, phase2_lr=1e6, seed=0)
     net = build_network(TOY, seed=0)
     rng = np.random.default_rng(0)
     for p in net.parameters().values():
         p.data += rng.normal(0.0, 0.05, p.data.shape)
-    result = train(net, data, sched)
+    return train(net, data, sched)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergent_run_rolls_back_and_flags():
+    result = diverged_run(corpus(2))
     assert result.aborted
     for v in result.network.state().values():
         assert np.isfinite(v).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergent_run_restores_lowest_logged_loss():
+    # The restored parameters are the ones whose loss the log recorded, not
+    # the state one SGD step after them.
+    data = corpus(2)
+    result = diverged_run(data)
+    assert result.aborted
+    restored = [
+        total_loss(result.network.forward_all(Tensor(s.image)), s.labels(), TOY).item()
+        for s in data
+    ]
+    assert min(r["total"] for r in result.log) in restored
 
 
 def test_loss_reduction_at_desk_scale():
