@@ -11,11 +11,25 @@ the squared-counts Rand statistics
 and their harmonic mean. Pixels with id 0 on either side are excluded from
 the counts, which is how boundary bands in the ground truth stay out of the
 score.
+
+The flood ranks pixels by probability, highest first, and breaks ties by
+row-major index. A sub-threshold pixel takes the id of its highest-ranked
+labeled 4-neighbour; since the scan order up, left, right, down is
+increasing row-major index, rank also breaks ties between neighbours of
+equal probability. Call the pixels that become reachable when the water
+level drops to a pixel z its burst: z and every unlabeled pixel connected
+to z through pixels ranked above z. The whole burst takes one id, that of
+z's highest-ranked neighbour that is foreground or already flooded, so the
+order of the flood inside a burst never matters. Upper level sets are
+nested (a component tree, Najman & Couprie 2006), and flooding is their
+minimum spanning forest (Cousty et al. 2009, "Watershed cuts"): one
+union-find pass in rank order records every merge, and the raster at any
+threshold follows from that record by pointer jumping. A sweep therefore
+sorts and merges each map once, not once per threshold.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +44,6 @@ __all__ = [
     "best_fscore_sweep",
     "SweepPoint",
 ]
-
-# Fixed neighbor scan order: up, left, right, down.
-_NEIGHBORS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -107,53 +118,156 @@ def _label_components(mask: np.ndarray) -> np.ndarray:
     return labels
 
 
-def segment_from_boundary(prob, threshold: float) -> LabelImage:
-    """Threshold an interior-probability map and grow segments over the rest.
-
-    Pixels with probability >= threshold form the foreground; its
-    4-connected components get distinct ids. Sub-threshold pixels are then
-    absorbed in decreasing-probability order (ties resolved row-major), each
-    taking the id of its highest-probability labeled neighbor. Only an
-    entirely sub-threshold image keeps id 0 anywhere, in which case the
-    whole raster is 0.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
+def _probability_map(prob) -> np.ndarray:
     p = np.asarray(prob, dtype=np.float64)
     if p.ndim == 3 and p.shape[0] == 1:
         p = p[0]
     if p.ndim != 2 or p.size == 0:
         raise ValueError(f"probability map must be HxW, got {p.shape}")
-    h, w = p.shape
-    labels = _label_components(p >= threshold)
-    if labels.max() == 0:
-        return LabelImage(labels)
+    if not np.isfinite(p).all():
+        raise ValueError("probability map has non-finite values")
+    return p
 
-    heap: list[tuple[float, int, int]] = []
-    fg = labels > 0
-    frontier = ~fg & (
-        np.pad(fg[1:, :], ((0, 1), (0, 0)))
-        | np.pad(fg[:-1, :], ((1, 0), (0, 0)))
-        | np.pad(fg[:, 1:], ((0, 0), (0, 1)))
-        | np.pad(fg[:, :-1], ((0, 0), (1, 0)))
-    )
-    for r, c in zip(*np.nonzero(frontier)):
-        heapq.heappush(heap, (-p[r, c], int(r), int(c)))
-    while heap:
-        _, r, c = heapq.heappop(heap)
-        if labels[r, c] != 0:
-            continue
-        best_id, best_p = 0, -1.0
-        for dr, dc in _NEIGHBORS:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] > 0 and p[rr, cc] > best_p:
-                best_id, best_p = int(labels[rr, cc]), p[rr, cc]
-        labels[r, c] = best_id
-        for dr, dc in _NEIGHBORS:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] == 0:
-                heapq.heappush(heap, (-p[rr, cc], rr, cc))
-    return LabelImage(labels)
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+
+
+def _jump(ptr: np.ndarray) -> np.ndarray:
+    """Resolve every pointer chain to its fixed point by pointer jumping."""
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
+
+
+def _neighbour_ranks(order: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Ranks of the up, left, right and down neighbours of each rank.
+
+    Row k describes rank k, the pixel ``order[k]``; a neighbour off the
+    raster or ranked after k reads ``order.size``.
+    """
+    h, w = shape
+    n = h * w
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    rank = rank.reshape(h, w)
+    grid = np.full((4, h, w), n, dtype=np.int32)
+    grid[0, 1:, :] = rank[:-1, :]
+    grid[1, :, 1:] = rank[:, :-1]
+    grid[2, :, :-1] = rank[:, 1:]
+    grid[3, :-1, :] = rank[1:, :]
+    nb = grid.reshape(4, n)[:, order]
+    nb[nb > np.arange(n)] = n
+    return nb
+
+
+class _FloodTree:
+    """The merge tree of one map, from which the flood at any threshold follows.
+
+    Pixels are handled in rank space: rank k is the k-th pixel of the flood
+    order (probability descending, then row-major). One union-find pass in
+    rank order merges each pixel with its higher-ranked 4-neighbours; a
+    component's root is its highest-ranked pixel, so when components meet,
+    the one whose root ranks higher absorbs the others. The pass records
+    which root each neighbour had when the pixel joined, and where and into
+    what each root was absorbed. Pixels with probability >= ``top`` are
+    seeded as their components, so ``labels`` answers thresholds up to
+    ``top``.
+    """
+
+    def __init__(self, p: np.ndarray, top: float):
+        n = p.size
+        self.p = p
+        self.order = np.argsort(-p.ravel(), kind="stable")
+        self.nb = _neighbour_ranks(self.order, p.shape)
+
+        self.roots = np.full((4, n), n, dtype=np.int32)  # neighbour roots as the rank joins
+        self.absorbed_into = np.arange(n, dtype=np.int32)
+        self.absorbed_at = np.full(n, n, dtype=np.int32)
+        parent = list(range(n))
+        seeded = int(np.count_nonzero(p >= top))
+        if seeded:
+            seed = _label_components(p >= top).ravel()[self.order[:seeded]]
+            _, first, inverse = np.unique(seed, return_index=True, return_inverse=True)
+            seed_roots = first[inverse]
+            parent[:seeded] = seed_roots.tolist()
+        nb = [memoryview(row) for row in self.nb]
+        roots = [memoryview(row) for row in self.roots]
+        into, at = memoryview(self.absorbed_into), memoryview(self.absorbed_at)
+        for k in range(seeded, n):
+            top_root = n
+            for j in range(4):
+                a = nb[j][k]
+                if a < n:
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    roots[j][k] = a
+                    if a < top_root:
+                        top_root = a
+            if top_root == n:
+                continue
+            parent[k] = top_root
+            for j in range(4):
+                a = roots[j][k]
+                if a < n and a != top_root:
+                    parent[a] = into[a] = top_root
+                    at[a] = k
+        # Root of each rank's component just after it joined.
+        self.joined = self.roots.min(axis=0)
+        alone = self.joined == n
+        self.joined[alone] = np.flatnonzero(alone)
+        if seeded:
+            self.joined[:seeded] = seed_roots
+
+    def labels(self, threshold: float) -> np.ndarray:
+        """The flood's int32 label raster at a threshold <= top."""
+        p = self.p
+        n = p.size
+        m = int(np.count_nonzero(p >= threshold))
+        if m == 0:
+            return np.zeros(p.shape, dtype=np.int32)
+        ranks = np.arange(n)
+        # Foreground: the components of the top m ranks, numbered in
+        # row-major order of their first pixel.
+        comp = _jump(np.where(self.absorbed_at < m, self.absorbed_into, ranks))
+        comp = comp[self.joined[:m]]
+        first = np.full(n, n)
+        np.minimum.at(first, comp, self.order[:m])
+        starts = np.zeros(n, dtype=bool)
+        starts[first[comp]] = True
+        fg_ids = np.cumsum(starts, dtype=np.int32)[first[comp]]
+        # Below the threshold: a rank whose component touches a labeled one
+        # when it joins opens a burst and points at its highest-ranked
+        # labeled neighbour; any other rank points at the rank whose join
+        # first connected its component to a labeled one.
+        joined = self.joined[m:]
+        best_labeled = np.where(self.roots[:, m:] < m, self.nb[:, m:], n).min(axis=0)
+        # The last unlabeled root on the way up; its absorption is the join.
+        unlabeled = _jump(np.where(self.absorbed_into >= m, self.absorbed_into, ranks))
+        connect = self.absorbed_at[unlabeled[joined]]
+        ptr = np.concatenate([ranks[:m], np.where(joined < m, best_labeled, connect)])
+        out = np.empty(n, dtype=np.int32)
+        out[self.order] = fg_ids[_jump(ptr)]
+        return out.reshape(p.shape)
+
+
+def segment_from_boundary(prob, threshold: float) -> LabelImage:
+    """Threshold an interior-probability map and grow segments over the rest.
+
+    Pixels with probability >= threshold form the foreground; its
+    4-connected components get distinct ids, numbered in row-major order of
+    first appearance. Sub-threshold pixels are then absorbed in flood order
+    (decreasing probability, ties resolved row-major), each taking the id of
+    its highest-ranked labeled neighbor. Only an entirely sub-threshold
+    image keeps id 0 anywhere, in which case the whole raster is 0.
+    Non-finite probabilities are rejected.
+    """
+    _check_threshold(threshold)
+    return LabelImage(_FloodTree(_probability_map(prob), threshold).labels(threshold))
 
 
 def contingency(proposal: LabelImage, gt: LabelImage) -> np.ndarray:
@@ -217,8 +331,10 @@ def best_fscore_sweep(
     Pooling treats segments of different images as distinct, i.e. the
     per-image contingency tables form one block-diagonal table. Thresholds
     where no image yields countable pixels are dropped from the curve.
-    Returns (best scores, best threshold, curve ordered by threshold); ties
-    keep the first threshold.
+    Returns (best scores, best threshold, curve in the order the thresholds
+    are given); ties keep the first threshold. Each map is segmented at
+    every threshold from one merge tree. A map must be finite and have its
+    ground truth's shape.
     """
     if len(prob_maps) != len(gt_maps):
         raise ValueError("need one ground-truth raster per probability map")
@@ -227,28 +343,36 @@ def best_fscore_sweep(
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("no thresholds to sweep")
+    for t in thresholds:
+        _check_threshold(t)
 
-    def sweep_one(t: float) -> SweepPoint | None:
-        squares = merge_denom = split_denom = 0.0
-        for prob, gt in zip(prob_maps, gt_maps):
-            seg = segment_from_boundary(prob, t)
-            if seg.ids.max() == 0:
+    # Per threshold: sum n_ij^2, sum_i n_i.^2 and sum_j n_.j^2, pooled in
+    # exact integers.
+    sums = np.zeros((len(thresholds), 3), dtype=np.int64)
+    for prob, gt in zip(prob_maps, gt_maps):
+        p = _probability_map(prob)
+        if p.shape != gt.ids.shape:
+            raise ValueError(f"raster shapes differ: {p.shape} vs {gt.ids.shape}")
+        counted = gt.ids.ravel() > 0
+        if not counted.any():
+            continue
+        _, gt_index, gt_sizes = np.unique(gt.ids.ravel()[counted], return_inverse=True, return_counts=True)
+        gt_square_sum = int((gt_sizes**2).sum())
+        tree = _FloodTree(p, max(thresholds))
+        for i, t in enumerate(thresholds):
+            ids = tree.labels(t).ravel()[counted]
+            if ids[0] == 0:  # an all-sub-threshold raster is 0 everywhere
                 continue
-            try:
-                table = contingency(seg, gt)
-            except ValueError:
-                continue
-            table = table.astype(np.float64)
-            squares += float((table**2).sum())
-            merge_denom += float((table.sum(axis=1) ** 2).sum())
-            split_denom += float((table.sum(axis=0) ** 2).sum())
-        if squares == 0.0:
-            return None
-        merge = squares / merge_denom
-        split = squares / split_denom
-        return SweepPoint(t, split, merge, rand_fscore(merge, split))
+            pairs = ids.astype(np.int64) * len(gt_sizes) + gt_index
+            pair_sizes = np.unique(pairs, return_counts=True)[1]
+            sums[i] += (int((pair_sizes**2).sum()), int((np.bincount(ids) ** 2).sum()), gt_square_sum)
 
-    points = [pt for pt in map(sweep_one, thresholds) if pt is not None]
+    points = []
+    for t, (squares, merge_denom, split_denom) in zip(thresholds, sums.tolist()):
+        if squares:
+            merge = squares / merge_denom
+            split = squares / split_denom
+            points.append(SweepPoint(t, split, merge, rand_fscore(merge, split)))
     if not points:
         raise ValueError("no threshold produced a scorable segmentation")
     best = points[0]

@@ -147,6 +147,8 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             zero_grads(trainable)
             loss.backward()
             opt.step()
+            # Free this iteration's graph before the next forward builds one.
+            del outs, loss
         except FloatingPointError:
             # Divergence: roll back to the lowest-loss parameters logged so
             # far. Without a snapshot no parameter has moved yet.

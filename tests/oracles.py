@@ -7,6 +7,7 @@ the package. No imports from m2fcn.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 import numpy as np
@@ -237,4 +238,46 @@ def bfs_components(mask):
                     if 0 <= a < h and 0 <= b < w and mask[a, b] and not labels[a, b]:
                         labels[a, b] = nxt
                         queue.append((a, b))
+    return labels
+
+
+def flood_segment(prob, threshold):
+    """Label prob >= threshold, then flood the rest one pixel at a time.
+
+    Sub-threshold pixels leave a heap in decreasing-probability order (ties
+    row-major), each taking the id of its highest-probability labeled
+    neighbor, ties going to the first in the scan order up, left, right,
+    down. Returns an int32 raster, all 0 when no pixel reaches the threshold.
+    """
+    p = np.asarray(prob, dtype=np.float64)
+    h, w = p.shape
+    labels = bfs_components(p >= threshold)
+    if labels.max() == 0:
+        return labels
+
+    scan = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    heap = []
+    fg = labels > 0
+    frontier = ~fg & (
+        np.pad(fg[1:, :], ((0, 1), (0, 0)))
+        | np.pad(fg[:-1, :], ((1, 0), (0, 0)))
+        | np.pad(fg[:, 1:], ((0, 0), (0, 1)))
+        | np.pad(fg[:, :-1], ((0, 0), (1, 0)))
+    )
+    for r, c in zip(*np.nonzero(frontier)):
+        heapq.heappush(heap, (-p[r, c], int(r), int(c)))
+    while heap:
+        _, r, c = heapq.heappop(heap)
+        if labels[r, c] != 0:
+            continue
+        best_id, best_p = 0, -1.0
+        for dr, dc in scan:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] > 0 and p[rr, cc] > best_p:
+                best_id, best_p = int(labels[rr, cc]), p[rr, cc]
+        labels[r, c] = best_id
+        for dr, dc in scan:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] == 0:
+                heapq.heappush(heap, (-p[rr, cc], rr, cc))
     return labels

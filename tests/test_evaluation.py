@@ -1,12 +1,19 @@
 """Segmentation from boundary maps and Rand-score arithmetic."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from m2fcn.config import EvalParams
+from m2fcn.data import load_image, save_image, synth_corpus
 from m2fcn.evaluation import (
     LabelImage,
+    SweepPoint,
+    _FloodTree,
     _label_components,
     best_fscore_sweep,
     contingency,
@@ -17,10 +24,13 @@ from m2fcn.evaluation import (
 )
 from oracles import (
     bfs_components,
+    flood_segment,
     labels_of_partition,
     rand_merge_split_pairs,
     set_partitions,
 )
+
+CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 # The six published benchmark rows this evaluator's arithmetic must
 # reproduce: (merge, split, fscore printed to four decimals). One row's
@@ -137,6 +147,65 @@ def test_segmentation_matches_component_oracle_above_threshold():
     fg = prob > 0.5
     assert np.array_equal(seg[fg], comp[fg])
     assert seg.min() >= (1 if fg.any() else 0)
+
+
+@st.composite
+def prob_maps(draw):
+    """Float maps, or maps quantised to 2-5 levels so that ties are exact."""
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random((h, w))
+    levels = draw(st.sampled_from([0, 2, 3, 4, 5]))
+    if levels:
+        p = np.round(p * (levels - 1)) / (levels - 1)
+    return p
+
+
+@st.composite
+def maps_and_thresholds(draw):
+    """A map and 1-5 thresholds: 0, 1, pixel values or anything in between."""
+    p = draw(prob_maps())
+    threshold = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(sorted(set(p.ravel().tolist()))),
+        st.floats(0.0, 1.0),
+    )
+    return p, draw(st.lists(threshold, min_size=1, max_size=5))
+
+
+def assert_same_raster(got, want):
+    assert got.dtype == want.dtype == np.int32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(maps_and_thresholds())
+@example((np.array([[0.5]]), [0.5, 0.0, 1.0]))
+@example((np.zeros((3, 4)), [0.5]))  # every pixel below the threshold
+@example((np.ones((2, 3)), [0.5]))  # every pixel above it
+@example((np.array([[0.2, 0.9, 0.2, 0.9, 0.5]]), [0.9, 0.5]))  # 1 x n
+@example((np.array([[0.9], [0.1], [0.9], [0.1]]), [0.9, 0.1]))  # n x 1
+@settings(max_examples=300, deadline=None)
+def test_flood_matches_oracle(case):
+    # Each threshold alone, and all of them from one merge tree.
+    p, thresholds = case
+    tree = _FloodTree(p, max(thresholds))
+    for t in thresholds:
+        want = flood_segment(p, t)
+        assert_same_raster(segment_from_boundary(p, t).ids, want)
+        assert_same_raster(tree.labels(t), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_maps_rejected(bad):
+    prob = np.full((3, 3), 0.5)
+    prob[1, 2] = bad
+    gt = LabelImage(np.ones((3, 3), dtype=int))
+    with pytest.raises(ValueError):
+        segment_from_boundary(prob, 0.5)
+    with pytest.raises(ValueError):
+        best_fscore_sweep([prob], [gt], [0.5])
 
 
 # ---- contingency ----
@@ -277,6 +346,25 @@ def test_singleton_threshold_matches_composition():
     assert abs(scores.fscore - want.fscore) <= 1e-15
 
 
+def oracle_sweep(probs, gts, thresholds):
+    """The curve recomputed per threshold from the oracle flood and contingency."""
+    points = []
+    for t in thresholds:
+        sq = md = sd = 0.0
+        for prob, gt in zip(probs, gts):
+            seg = flood_segment(prob, t)
+            if seg.max() == 0 or not (gt.ids > 0).any():
+                continue
+            table = contingency(LabelImage(seg), gt).astype(float)
+            sq += float((table**2).sum())
+            md += float((table.sum(axis=1) ** 2).sum())
+            sd += float((table.sum(axis=0) ** 2).sum())
+        if sq:
+            merge, split = sq / md, sq / sd
+            points.append(SweepPoint(t, split, merge, rand_fscore(merge, split)))
+    return points
+
+
 def test_sweep_matches_exhaustive_oracle_multi_image():
     rng = np.random.default_rng(7)
     probs, gts = [], []
@@ -285,33 +373,40 @@ def test_sweep_matches_exhaustive_oracle_multi_image():
         gt[:, :5] = 1
         gt[:, 6:] = 2
         noise = rng.normal(0, 0.25, (10, 10))
-        prob = np.clip((gt > 0) + noise, 0.0, 1.0)
+        prob = np.clip((gt > 0) + noise, 0.0, 0.9)
         probs.append(prob)
         gts.append(LabelImage(gt))
-    thresholds = np.linspace(0.05, 0.95, 20)
+    probs.append(np.floor(probs[0] * 4) / 4)  # exact ties
+    gts.append(gts[0])
+    probs.append(probs[1])  # a map whose ground truth counts no pixel
+    gts.append(LabelImage(np.zeros((10, 10), dtype=int)))
+    # Unsorted, with duplicates; no pixel exceeds 0.9, so the thresholds
+    # above it score nothing and leave the curve.
+    thresholds = list(rng.permutation(np.linspace(0.05, 0.95, 20))) + [0.5, 1.0, 0.05, 0.5]
     scores, best_t, points = best_fscore_sweep(probs, gts, thresholds)
-    # brute force: pool contingency counts per threshold by block sums
-    best = None
-    for t in thresholds:
-        sq = md = sd = 0.0
-        for prob, gt in zip(probs, gts):
-            seg = segment_from_boundary(prob, float(t))
-            if seg.ids.max() == 0:
-                continue
-            try:
-                table = contingency(seg, gt).astype(float)
-            except ValueError:
-                continue
-            sq += (table**2).sum()
-            md += (table.sum(axis=1) ** 2).sum()
-            sd += (table.sum(axis=0) ** 2).sum()
-        if sq == 0.0:
-            continue
-        f = rand_fscore(sq / md, sq / sd)
-        if best is None or f > best[0]:
-            best = (f, float(t))
-    assert abs(scores.fscore - best[0]) <= 1e-12
-    assert best_t == best[1]
+    want = oracle_sweep(probs, gts, [float(t) for t in thresholds])
+    assert pr_curve_csv(points) == pr_curve_csv(want)
+    assert [pt.threshold for pt in points] == [t for t in thresholds if t <= 0.9]
+    best = max(pt.fscore for pt in want)
+    assert scores.fscore == best
+    assert best_t == next(pt.threshold for pt in want if pt.fscore == best)
+
+
+def test_sweep_passes_benchmark_check(tmp_path):
+    # perfbench/checks.py recounts every curve point from segment_from_boundary
+    # with its own 4-connected labelling and np.unique pair counts.
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    sample = synth_corpus(5, 0, 1, 48, 48, 6)[1][0]
+    prob = sample.image[0]
+    save_image(tmp_path / "map.pgm", prob)
+    gt = LabelImage(sample.segments)
+    thresholds = EvalParams().thresholds()
+    for p in (prob, load_image(tmp_path / "map.pgm")):
+        scores, best_t, curve = best_fscore_sweep([p], [gt], thresholds)
+        checks.check_sweep(curve, (scores, best_t), lambda q, t: segment_from_boundary(q, t).ids,
+                           [p], [gt.ids], thresholds, 0.999)
 
 
 def test_sweep_validation():
@@ -321,6 +416,10 @@ def test_sweep_validation():
         best_fscore_sweep([np.ones((2, 2))], [], [0.5])
     with pytest.raises(ValueError):
         best_fscore_sweep([np.ones((2, 2))], [LabelImage(np.ones((2, 2), dtype=int))], [])
+    with pytest.raises(ValueError):
+        best_fscore_sweep([np.ones((2, 2))], [LabelImage(np.ones((2, 2), dtype=int))], [0.5, 1.5])
+    with pytest.raises(ValueError):
+        best_fscore_sweep([np.ones((2, 2))], [LabelImage(np.ones((2, 3), dtype=int))], [0.5])
 
 
 def test_pr_curve_csv_format():

@@ -1,5 +1,7 @@
 """Optimizer math, two-phase schedules, regimes, rollback, determinism."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +158,24 @@ def test_training_is_deterministic():
     for k in sa:
         assert np.array_equal(sa[k], sb[k]), k
     assert a.log == b.log
+
+
+def test_train_holds_one_graph_at_a_time():
+    # Each iteration's graph is freed before the next forward builds one, so
+    # a longer call peaks where a single iteration does.
+    data = corpus(1)
+
+    def peak(iters):
+        net = build_network(TOY, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(net, data, TrainSchedule(phase1_iters=0, phase2_iters=iters, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.05 * peak(1)
 
 
 def diverged_run(data):
