@@ -119,6 +119,7 @@ def _label_components(mask: np.ndarray) -> np.ndarray:
 
 
 def _probability_map(prob) -> np.ndarray:
+    """A finite HxW float64 map; a leading channel axis of 1 is dropped."""
     p = np.asarray(prob, dtype=np.float64)
     if p.ndim == 3 and p.shape[0] == 1:
         p = p[0]
