@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"M2FC"
-    version u32      currently 1
+    version u32      currently 2
     cfg_len u32      length of the UTF-8 JSON network config
     config  cfg_len bytes
     count   u32      number of tensors
@@ -16,17 +16,19 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .iohelpers import atomic_write_bytes
 from .network import M2FCN, NetworkConfig, build_network
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "network_from_checkpoint"]
 
 MAGIC = b"M2FC"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -50,12 +52,11 @@ def save_checkpoint(path, config: NetworkConfig, state: dict[str, np.ndarray]) -
         for d in a.shape:
             blob += struct.pack("<I", d)
         blob += a.astype("<f8").tobytes()
-    from .iohelpers import atomic_write_bytes
-
     atomic_write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
+    """Parse a checkpoint; any malformed content raises CheckpointError."""
     data = Path(path).read_bytes()
     view = memoryview(data)
     pos = 0
@@ -76,17 +77,24 @@ def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
         config = NetworkConfig.from_dict(json.loads(bytes(take(cfg_len)).decode()))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from exc
     (count,) = struct.unpack("<I", take(4))
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8 in {path}") from exc
         (ndim,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        n_values = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(take(8 * n_values), dtype="<f8").reshape(dims)
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        # Python integers: a numpy product of four large dims wraps to 0.
+        values = take(8 * math.prod(dims))
+        try:
+            arr = np.frombuffer(values, dtype="<f8").reshape(dims)
+        except ValueError as exc:  # more dims than numpy supports
+            raise CheckpointError(f"bad shape {dims} for {name!r} in {path}") from exc
         state[name] = np.array(arr, dtype=np.float64)
     if pos != len(view):
         raise CheckpointError(f"trailing bytes in checkpoint {path}")

@@ -77,9 +77,6 @@ _TOY = {
     ("network", "widths"): "8, 16, 16",
     ("network", "convs"): "2, 2, 2",
     ("network", "recursive"): "all",
-    ("network", "concat_logits"): "false",
-    ("network", "learn_upsample"): "false",
-    ("network", "beta_mode"): "balanced",
     ("train", "mode"): "end_to_end",
     ("train", "phase1_iters"): "200",
     ("train", "phase2_iters"): "400",
@@ -243,11 +240,6 @@ def load_run_config(
         subnet=subnet,
         recursive_mode=mode,
         recursive_level=rec_level,
-        concat_logits=_to_bool("network.concat_logits", get("network", "concat_logits")),
-        learn_upsample=_to_bool(
-            "network.learn_upsample", get("network", "learn_upsample")
-        ),
-        beta_mode=get("network", "beta_mode"),
     )
 
     seed = _to_int("run.seed", get("run", "seed"))

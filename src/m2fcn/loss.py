@@ -46,29 +46,21 @@ class BoundaryLabels:
         return cls(m, nb, int(m.size - nb))
 
 
-def class_balance_beta(labels: BoundaryLabels, mode: str = "balanced") -> float:
-    """Weight on the boundary term.
+def class_balance_beta(labels: BoundaryLabels) -> float:
+    """Weight on the boundary term: |background| / |all|.
 
-    "balanced" is |background| / |all|, so the rarer boundary class gets the
-    larger weight. Degenerate rasters pick the weight that keeps the one
-    populated term alive: no boundary pixels -> 0, all boundary -> 1.
-    "literal" is the unnormalized ratio |background| / |boundary|, kept for
-    comparison runs; it exceeds 1 as soon as boundaries are the minority.
+    The rarer boundary class gets the larger weight. Degenerate rasters pick
+    the weight that keeps the one populated term alive: no boundary pixels
+    -> 0, all boundary -> 1.
     """
     nb, nn = labels.n_boundary, labels.n_background
     if nb + nn == 0:
         raise ValueError("empty label raster")
-    if mode == "balanced":
-        if nb == 0:
-            return 0.0
-        if nn == 0:
-            return 1.0
-        return nn / (nb + nn)
-    if mode == "literal":
-        if nb == 0:
-            raise ValueError("literal beta undefined without boundary pixels")
-        return nn / nb
-    raise ValueError(f"unknown beta mode {mode!r}")
+    if nb == 0:
+        return 0.0
+    if nn == 0:
+        return 1.0
+    return nn / (nb + nn)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -124,10 +116,10 @@ def fuse(side_logits: list[Tensor], h: Tensor) -> Tensor:
 
 
 def total_loss(outs, labels: BoundaryLabels, config) -> Tensor:
-    """Sum of weighted side losses plus weighted fused losses.
+    """Sum of every side loss and every fused loss, all weighted equally.
 
-    ``outs`` is a SideOutputs bundle; ``config`` supplies the alpha weights
-    and the beta mode. beta is computed once and shared by all terms.
+    ``outs`` is a SideOutputs bundle; ``config`` supplies the stage and level
+    counts. beta is computed once and shared by all terms.
     """
     stages = config.stages
     n_side = len(config.subnet.levels)
@@ -136,11 +128,11 @@ def total_loss(outs, labels: BoundaryLabels, config) -> Tensor:
             f"incomplete outputs: {len(outs.side)} side and {len(outs.fused)} fused "
             f"maps for {stages} stages of {n_side} levels"
         )
-    beta = class_balance_beta(labels, config.beta_mode)
+    beta = class_balance_beta(labels)
     terms = []
     for m in range(1, stages + 1):
         for n in range(1, n_side + 1):
-            terms.append(side_loss(outs.side[(m, n)], labels, beta) * float(config.alpha_side[m - 1][n - 1]))
+            terms.append(side_loss(outs.side[(m, n)], labels, beta))
     for m in range(1, stages + 1):
-        terms.append(side_loss(outs.fused[m], labels, beta) * float(config.alpha_fuse[m - 1]))
+        terms.append(side_loss(outs.fused[m], labels, beta))
     return reduce(add, terms)

@@ -34,11 +34,6 @@ class NetworkConfig:
     subnet: SubNetConfig
     recursive_mode: str = "all"  # "all" | "single"
     recursive_level: int | None = None
-    alpha_side: tuple | None = None  # (stages, levels) loss weights
-    alpha_fuse: tuple | None = None  # (stages,)
-    concat_logits: bool = False  # feed raw logits to the next stage instead
-    learn_upsample: bool = False
-    beta_mode: str = "balanced"
 
     def __post_init__(self):
         if self.stages < 1:
@@ -51,28 +46,6 @@ class NetworkConfig:
                 raise ValueError(
                     f"single-input level {self.recursive_level} outside 1..{n}"
                 )
-        if self.alpha_side is None:
-            self.alpha_side = tuple((1.0,) * n for _ in range(self.stages))
-        else:
-            self.alpha_side = tuple(
-                tuple(float(a) for a in row) for row in self.alpha_side
-            )
-            if len(self.alpha_side) != self.stages or any(
-                len(row) != n for row in self.alpha_side
-            ):
-                raise ValueError(
-                    f"alpha_side must be {self.stages} rows of {n} weights"
-                )
-        if self.alpha_fuse is None:
-            self.alpha_fuse = (1.0,) * self.stages
-        else:
-            self.alpha_fuse = tuple(float(a) for a in self.alpha_fuse)
-            if len(self.alpha_fuse) != self.stages:
-                raise ValueError(f"alpha_fuse must list {self.stages} weights")
-        if any(a < 0 for row in self.alpha_side for a in row) or any(
-            a < 0 for a in self.alpha_fuse
-        ):
-            raise ValueError("loss weights must be nonnegative")
 
     @property
     def recursive_count(self) -> int:
@@ -96,28 +69,39 @@ class NetworkConfig:
             "input_channels": self.subnet.input_channels,
             "levels": [[s.convs, s.channels, s.kernel] for s in self.subnet.levels],
             "recursive": recursive,
-            "alpha_side": [list(row) for row in self.alpha_side],
-            "alpha_fuse": list(self.alpha_fuse),
-            "concat_logits": self.concat_logits,
-            "learn_upsample": self.learn_upsample,
-            "beta_mode": self.beta_mode,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        levels = tuple(LevelSpec(c, ch, k) for c, ch, k in d["levels"])
-        mode, level = parse_recursive(d.get("recursive", "all"))
+    def from_dict(cls, d) -> "NetworkConfig":
+        """Inverse of ``to_dict``; a missing, unknown or ill-typed entry
+        raises KeyError or ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"network config must be an object, got {type(d).__name__}")
+        unknown = set(d) - {"stages", "input_channels", "levels", "recursive"}
+        if unknown:
+            raise ValueError(f"unknown network config keys {sorted(unknown)}")
+        specs = d["levels"]
+        if not isinstance(specs, list) or not all(
+            isinstance(s, list) and len(s) == 3 for s in specs
+        ):
+            raise ValueError("levels must be a list of [convs, channels, kernel] triples")
+        levels = tuple(LevelSpec(*(_int(v, "levels") for v in s)) for s in specs)
+        recursive = d.get("recursive", "all")
+        if not isinstance(recursive, str):
+            raise ValueError(f"recursive must be a string, got {recursive!r}")
+        mode, level = parse_recursive(recursive)
         return cls(
-            stages=int(d["stages"]),
-            subnet=SubNetConfig(levels, int(d.get("input_channels", 1))),
+            stages=_int(d["stages"], "stages"),
+            subnet=SubNetConfig(levels, _int(d.get("input_channels", 1), "input_channels")),
             recursive_mode=mode,
             recursive_level=level,
-            alpha_side=d.get("alpha_side"),
-            alpha_fuse=d.get("alpha_fuse"),
-            concat_logits=bool(d.get("concat_logits", False)),
-            learn_upsample=bool(d.get("learn_upsample", False)),
-            beta_mode=d.get("beta_mode", "balanced"),
         )
+
+
+def _int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must hold integers, got {value!r}")
+    return value
 
 
 def parse_recursive(text: str) -> tuple[str, int | None]:
@@ -187,7 +171,7 @@ class M2FCN:
             for n, t in enumerate(logits, start=1):
                 side[(m, n)] = t
             fused[m] = fuse(logits, self.fuse_weights[m - 1])
-            prev = logits if cfg.concat_logits else [sigmoid(t) for t in logits]
+            prev = [sigmoid(t) for t in logits]
         return SideOutputs(side, fused)
 
     def predict(self, image: Tensor) -> np.ndarray:
@@ -234,12 +218,7 @@ def build_network(config: NetworkConfig, seed: int) -> M2FCN:
     fuse_weights = []
     for m in range(1, config.stages + 1):
         stages.append(
-            build_subnet(
-                config.stage_config(m),
-                int(stage_seeds[m - 1]),
-                prefix=f"stage{m}/",
-                learn_upsample=config.learn_upsample,
-            )
+            build_subnet(config.stage_config(m), int(stage_seeds[m - 1]), prefix=f"stage{m}/")
         )
         fuse_weights.append(
             Tensor(np.full(n, 1.0 / n), requires_grad=True, name=f"stage{m}/fuse/weight")

@@ -35,11 +35,10 @@ class ConvParams:
 
     weight: Tensor
     bias: Tensor
-    stride: int = 1
     padding: int | None = None
 
     def apply(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return conv2d(x, self.weight, self.bias, padding=self.padding)
 
 
 def conv2d(
@@ -165,20 +164,14 @@ def bilinear_kernel(factor: int) -> np.ndarray:
     return 1.0 - np.abs(np.arange(k) - center) / factor
 
 
-def upsample(
-    x: Tensor,
-    factor: int,
-    weight: Tensor | None = None,
-    out_hw: tuple[int, int] | None = None,
-) -> Tensor:
+def upsample(x: Tensor, factor: int, out_hw: tuple[int, int] | None = None) -> Tensor:
     """Upsample each channel by an integer factor via transposed convolution.
 
-    The default kernel is the fixed bilinear one (outer product of
+    The kernel is the fixed bilinear one (outer product of
     ``bilinear_kernel``). Interior values interpolate exactly; borders decay
     because the implicit padding is zero. ``out_hw`` crops the top-left
     corner of the result, which undoes the replication padding a pooling
-    ladder may have added. Pass an unfrozen (k, k) weight tensor to make the
-    kernel learnable.
+    ladder may have added.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"factor must be a positive integer, got {factor}")
@@ -186,16 +179,12 @@ def upsample(
     if x.data.ndim != 3:
         raise ValueError(f"upsample input must be CxHxW, got {x.shape}")
     c, h, w = x.shape
-    k = 2 * factor - factor % 2
+    k1 = bilinear_kernel(factor)
+    wd = np.outer(k1, k1)
+    k = k1.size
     pad = (k - factor) // 2
-    if weight is None:
-        k1 = bilinear_kernel(factor)
-        weight = Tensor(np.outer(k1, k1), requires_grad=False, name="bilinear_kernel")
-    elif weight.shape != (k, k):
-        raise ValueError(f"upsample weight must be {(k, k)} for factor {factor}")
 
     full_h, full_w = (h - 1) * factor + k, (w - 1) * factor + k
-    wd = weight.data
     full = np.zeros((c, full_h, full_w))
     for ki in range(k):
         for kj in range(k):
@@ -207,29 +196,19 @@ def upsample(
         raise ValueError(f"crop target {(th, tw)} outside upsampled extent {(h * factor, w * factor)}")
     y = np.ascontiguousarray(full[:, pad : pad + th, pad : pad + tw])
 
-    res = _result(y, (x, weight))
+    res = _result(y, (x,))
     if res.requires_grad:
 
         def _bw(grad):
             gfull = np.zeros((c, full_h, full_w))
             gfull[:, pad : pad + th, pad : pad + tw] = grad
-            if x.requires_grad:
-                dx = np.zeros_like(x.data)
-                for ki in range(k):
-                    for kj in range(k):
-                        dx += wd[ki, kj] * gfull[
-                            :, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor
-                        ]
-                x.grad += dx
-            if weight.requires_grad:
-                dw = np.empty((k, k))
-                for ki in range(k):
-                    for kj in range(k):
-                        dw[ki, kj] = np.sum(
-                            x.data
-                            * gfull[:, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor]
-                        )
-                weight.grad += dw
+            dx = np.zeros_like(x.data)
+            for ki in range(k):
+                for kj in range(k):
+                    dx += wd[ki, kj] * gfull[
+                        :, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor
+                    ]
+            x.grad += dx
 
         res._backward = _bw
     return res

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .ops import ConvParams, bilinear_kernel, conv2d, maxpool2, relu, upsample
+from .ops import ConvParams, maxpool2, relu, upsample
 
 __all__ = ["LevelSpec", "SubNetConfig", "SubNet", "build_subnet", "receptive_field"]
 
@@ -62,18 +62,12 @@ def receptive_field(config: SubNetConfig, level: int) -> tuple[int, int]:
     return jump, rf
 
 
-def build_subnet(
-    config: SubNetConfig,
-    seed: int,
-    prefix: str = "",
-    learn_upsample: bool = False,
-) -> "SubNet":
+def build_subnet(config: SubNetConfig, seed: int, prefix: str = "") -> "SubNet":
     """Seeded construction: trunk weights ~ Normal(0, sqrt(2 / fan-in)),
-    biases and side heads zero, upsampling kernels fixed bilinear."""
+    biases and side heads zero."""
     rng = np.random.default_rng(seed)
     trunk: list[list[ConvParams]] = []
     heads: list[ConvParams] = []
-    ups: list[Tensor] = []
     in_ch = config.input_channels
     for lvl, spec in enumerate(config.levels, start=1):
         layers = []
@@ -100,26 +94,16 @@ def build_subnet(
         )
         head_b = Tensor(np.zeros(1), requires_grad=True, name=f"{prefix}head{lvl}/bias")
         heads.append(ConvParams(head_w, head_b, padding=0))
-        factor = 2 ** (lvl - 1)
-        k1 = bilinear_kernel(factor)
-        ups.append(
-            Tensor(
-                np.outer(k1, k1),
-                requires_grad=learn_upsample,
-                name=f"{prefix}head{lvl}/up_weight",
-            )
-        )
-    return SubNet(config, trunk, heads, ups)
+    return SubNet(config, trunk, heads)
 
 
 class SubNet:
     """Forward pass produces one full-resolution logit map per level."""
 
-    def __init__(self, config, trunk, heads, ups):
+    def __init__(self, config, trunk, heads):
         self.config = config
         self.trunk = trunk
         self.heads = heads
-        self.ups = ups
 
     def forward(self, x: Tensor) -> list[Tensor]:
         if x.data.ndim != 3 or x.shape[0] != self.config.input_channels:
@@ -136,7 +120,7 @@ class SubNet:
                 cur = relu(params.apply(cur))
             logits = self.heads[lvl - 1].apply(cur)
             factor = 2 ** (lvl - 1)
-            side.append(upsample(logits, factor, weight=self.ups[lvl - 1], out_hw=(h, w)))
+            side.append(upsample(logits, factor, out_hw=(h, w)))
         return side
 
     def parameters(self) -> dict[str, Tensor]:
@@ -147,5 +131,4 @@ class SubNet:
                 out[params.bias.name] = params.bias
             out[self.heads[lvl].weight.name] = self.heads[lvl].weight
             out[self.heads[lvl].bias.name] = self.heads[lvl].bias
-            out[self.ups[lvl].name] = self.ups[lvl]
         return out

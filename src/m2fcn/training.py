@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor, zero_grads
+from .checkpoint import save_checkpoint
 from .loss import BoundaryLabels, balanced_ce_value, class_balance_beta, total_loss
 from .network import M2FCN, NetworkConfig, build_network
 
@@ -134,7 +135,7 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
         try:
             outs = net.forward_all(image)
             loss = total_loss(outs, labels, cfg)
-            beta = class_balance_beta(labels, cfg.beta_mode)
+            beta = class_balance_beta(labels)
             record = {"iteration": log_offset + it, "total": loss.item()}
             for m in range(1, cfg.stages + 1):
                 record[f"fused{m}"] = balanced_ce_value(outs.fused[m].data, labels, beta)
@@ -157,8 +158,6 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             aborted = True
             break
         if schedule.snapshot_every > 0 and out_dir is not None and it % schedule.snapshot_every == 0:
-            from .checkpoint import save_checkpoint
-
             save_checkpoint(
                 f"{out_dir}/snapshot_{log_offset + it:06d}.m2f", cfg, net.state()
             )
@@ -171,13 +170,7 @@ def pretrain_stage1(config: NetworkConfig, data, schedule: TrainSchedule):
     Returns (state dict, loss log, aborted). With zero iterations the state
     is exactly the seeded initialization.
     """
-    cfg1 = replace(
-        config,
-        stages=1,
-        alpha_side=config.alpha_side[:1],
-        alpha_fuse=config.alpha_fuse[:1],
-    )
-    net = build_network(cfg1, schedule.seed)
+    net = build_network(replace(config, stages=1), schedule.seed)
     prepared = _prepare(data)
     log, aborted = _run_loop(net, prepared, schedule.phase1_iters, schedule.phase1_lr, schedule)
     return net.state(), log, aborted

@@ -1,4 +1,15 @@
-"""Shared pytest wiring: acceptance criteria get a visible summary block."""
+"""Shared pytest wiring: the package path for child processes, and a visible
+summary block for the acceptance criteria."""
+
+import os
+from pathlib import Path
+
+# pyproject's ``pythonpath`` reaches this process only; the CLI tests start
+# ``python -m m2fcn.cli`` children, which find the checkout through this.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,0 +1,165 @@
+"""Checkpoint container: round trip, and typed rejection of malformed files.
+
+Every way a file can be wrong must surface as CheckpointError, which the CLI
+turns into exit code 2.
+"""
+
+import itertools
+import json
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from m2fcn.checkpoint import (
+    MAGIC,
+    VERSION,
+    CheckpointError,
+    load_checkpoint,
+    network_from_checkpoint,
+    save_checkpoint,
+)
+from m2fcn.network import NetworkConfig, build_network
+from m2fcn.subnet import LevelSpec, SubNetConfig
+
+CFG = NetworkConfig(
+    stages=2,
+    subnet=SubNetConfig(levels=(LevelSpec(1, 2), LevelSpec(1, 2))),
+    recursive_mode="single",
+    recursive_level=2,
+)
+
+
+_CASES = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+@pytest.fixture(scope="module")
+def valid(workdir) -> bytes:
+    path = workdir / "valid.m2f"
+    save_checkpoint(path, CFG, build_network(CFG, seed=3).state())
+    return path.read_bytes()
+
+
+def load_blob(workdir, blob: bytes):
+    # A new file per case: truncating an existing file is slow on some
+    # filesystems, and the prefix test writes one file per byte.
+    path = workdir / f"case{next(_CASES)}.m2f"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+def pack(config, tensors=()) -> bytes:
+    """A checkpoint of the current version with a raw config block and raw
+    (name bytes, dims, value bytes) tensor records."""
+    cfg = config if isinstance(config, bytes) else json.dumps(config).encode()
+    blob = MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg
+    blob += struct.pack("<I", len(tensors))
+    for name, dims, values in tensors:
+        blob += struct.pack("<H", len(name)) + name
+        blob += struct.pack(f"<B{len(dims)}I", len(dims), *dims) + values
+    return blob
+
+
+def test_round_trip(tmp_path):
+    net = build_network(CFG, seed=3)
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, net.state())
+    assert path.read_bytes()[4:8] == struct.pack("<I", 2)
+    config, state = load_checkpoint(path)
+    assert config == CFG
+    assert state.keys() == net.parameters().keys()
+    for name, value in net.state().items():
+        assert state[name].tobytes() == value.tobytes()
+    back = network_from_checkpoint(path)
+    for name, value in net.state().items():
+        assert back.parameters()[name].data.tobytes() == value.tobytes()
+
+
+def test_bad_magic(workdir, valid):
+    with pytest.raises(CheckpointError, match="bad magic"):
+        load_blob(workdir, b"M2FX" + valid[4:])
+
+
+def test_version_1_file_rejected(workdir, valid):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_blob(workdir, valid[:4] + struct.pack("<I", 1) + valid[8:])
+
+
+def test_every_truncated_prefix_rejected(workdir, valid):
+    for n in range(len(valid)):
+        with pytest.raises(CheckpointError):
+            load_blob(workdir, valid[:n])
+
+
+def test_trailing_bytes_rejected(workdir, valid):
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        load_blob(workdir, valid + b"\0")
+
+
+GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "all"}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pack({**GOOD, "levels": 3}),
+        pack([1, 2]),
+        pack({**GOOD, "levels": [[1, 2.0, 3]]}),
+        pack({**GOOD, "stages": True}),
+        pack({**GOOD, "recursive": 5}),
+        pack({**GOOD, "beta_mode": "balanced"}),
+        pack({k: v for k, v in GOOD.items() if k != "stages"}),
+        pack(b"[" * 100_000 + b"]" * 100_000),
+        pack(b"\xff{}"),
+        pack(GOOD, [(b"\xff\xfe", (1,), bytes(8))]),
+        pack(GOOD, [(b"w", (65536,) * 4, b"")]),
+        pack(GOOD, [(b"w", (1,) * 65, bytes(8))]),
+    ],
+    ids=[
+        "levels-int",
+        "config-list",
+        "levels-float",
+        "stages-bool",
+        "recursive-int",
+        "unknown-key",
+        "missing-key",
+        "deeply-nested",
+        "config-not-utf8",
+        "name-not-utf8",
+        "dims-overflow",
+        "too-many-dims",
+    ],
+)
+def test_crafted_files_rejected(workdir, blob):
+    with pytest.raises(CheckpointError):
+        load_blob(workdir, blob)
+
+
+def test_pack_builds_loadable_files(workdir):
+    # The crafted cases above differ from this one only in what they break.
+    config, state = load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))]))
+    assert config.stages == 1
+    assert state["w"].shape == (2, 1)
+
+
+# Half the flips land in the first 256 bytes, where the header, the config
+# block and the first tensor records are.
+POSITIONS = st.one_of(st.integers(0, 255), st.integers(0, 1 << 20))
+
+
+@given(st.lists(st.tuples(POSITIONS, st.integers(1, 255)), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_byte_flips_raise_only_checkpoint_error(workdir, valid, flips):
+    blob = bytearray(valid)
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    try:
+        load_blob(workdir, bytes(blob))
+    except CheckpointError:
+        pass

@@ -30,33 +30,22 @@ def labels_from(mask):
 
 def test_beta_one_boundary_three_background():
     lab = labels_from([[True, False], [False, False]])
-    assert class_balance_beta(lab, "balanced") == 0.75
+    assert class_balance_beta(lab) == 0.75
 
 
 def test_beta_balanced_classes():
     lab = labels_from([[True, False], [True, False]])
-    assert class_balance_beta(lab, "balanced") == 0.5
+    assert class_balance_beta(lab) == 0.5
 
 
 def test_beta_degenerate_all_boundary():
     lab = labels_from(np.ones((3, 3), dtype=bool))
-    assert class_balance_beta(lab, "balanced") == 1.0
+    assert class_balance_beta(lab) == 1.0
 
 
 def test_beta_degenerate_no_boundary():
     lab = labels_from(np.zeros((3, 3), dtype=bool))
-    assert class_balance_beta(lab, "balanced") == 0.0
-
-
-def test_beta_literal_ratio():
-    lab = labels_from([[True, False], [False, False]])
-    assert class_balance_beta(lab, "literal") == 3.0
-
-
-def test_beta_unknown_mode_rejected():
-    lab = labels_from([[True, False]])
-    with pytest.raises(ValueError):
-        class_balance_beta(lab, "bogus")
+    assert class_balance_beta(lab) == 0.0
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -64,7 +53,7 @@ def test_beta_unknown_mode_rejected():
 def test_beta_balanced_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((5, 4)) < rng.random()
-    beta = class_balance_beta(labels_from(mask), "balanced")
+    beta = class_balance_beta(labels_from(mask))
     assert 0.0 <= beta <= 1.0
     n_b = int(mask.sum())
     if 0 < n_b < mask.size:
@@ -79,7 +68,7 @@ def test_hand_case_quarter_boundary_zero_logits():
     # 0.75*ln2 + 0.25*3*ln2 = 1.5*ln2
     mask = np.array([[True, False], [False, False]])
     lab = labels_from(mask)
-    beta = class_balance_beta(lab, "balanced")
+    beta = class_balance_beta(lab)
     assert beta == 0.75
     logits = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
     val = side_loss(logits, lab, beta).item()
@@ -90,7 +79,7 @@ def test_saturated_correct_prediction_is_tiny():
     mask = np.zeros((3, 3), dtype=bool)
     lab = labels_from(mask)
     logits = Tensor(np.full((1, 3, 3), 20.0))
-    val = side_loss(logits, lab, class_balance_beta(lab, "balanced")).item()
+    val = side_loss(logits, lab, class_balance_beta(lab)).item()
     assert val <= 9 * 1e-8
 
 
@@ -108,7 +97,7 @@ def test_side_loss_matches_scalar_oracle():
         h, w = rng.integers(2, 7, size=2)
         mask = rng.random((h, w)) < rng.random()
         lab = labels_from(mask)
-        beta = class_balance_beta(lab, "balanced")
+        beta = class_balance_beta(lab)
         logits = rng.normal(scale=3.0, size=(1, h, w))
         got = side_loss(Tensor(logits), lab, beta).item()
         want = balanced_loss_scalar(logits, mask, beta)
@@ -120,7 +109,7 @@ def test_side_loss_value_helper_agrees():
     mask = rng.random((4, 5)) < 0.4
     lab = labels_from(mask)
     logits = rng.normal(size=(1, 4, 5))
-    beta = class_balance_beta(lab, "balanced")
+    beta = class_balance_beta(lab)
     a = side_loss(Tensor(logits), lab, beta).item()
     b = balanced_ce_value(logits, lab, beta)
     assert abs(a - b) <= 1e-12
@@ -131,7 +120,7 @@ def test_side_loss_gradient():
     mask = rng.random((4, 4)) < 0.3
     lab = labels_from(mask)
     logits = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
-    beta = class_balance_beta(lab, "balanced")
+    beta = class_balance_beta(lab)
     err = grad_check(lambda: side_loss(logits, lab, beta), [logits])
     assert err <= 1e-7
 
@@ -177,9 +166,9 @@ def test_fuse_gradient_reaches_weights():
 # ---- total loss ----
 
 
-def tiny_config(stages=2, levels=2, **kw):
+def tiny_config(stages=2, levels=2):
     subnet = SubNetConfig(levels=tuple(LevelSpec(1, 3) for _ in range(levels)))
-    return NetworkConfig(stages=stages, subnet=subnet, **kw)
+    return NetworkConfig(stages=stages, subnet=subnet)
 
 
 def random_outputs(cfg, rng, h=5, w=4, keep_fuse_init=False):
@@ -202,28 +191,9 @@ def test_duplicated_single_term():
     mask = rng.random((5, 4)) < 0.4
     lab = labels_from(mask)
     total = total_loss(outs, lab, cfg).item()
-    beta = class_balance_beta(lab, cfg.beta_mode)
+    beta = class_balance_beta(lab)
     side = balanced_ce_value(outs.side[(1, 1)].data, lab, beta)
     assert abs(total - 2.0 * side) <= 1e-10
-
-
-def test_alpha_zero_side_keeps_only_fused_terms():
-    cfg = tiny_config(
-        stages=2,
-        levels=2,
-        alpha_side=((0.0, 0.0), (0.0, 0.0)),
-        alpha_fuse=(1.0, 1.0),
-    )
-    rng = np.random.default_rng(8)
-    outs = random_outputs(cfg, rng)
-    mask = rng.random((5, 4)) < 0.4
-    lab = labels_from(mask)
-    total = total_loss(outs, lab, cfg).item()
-    beta = class_balance_beta(lab, cfg.beta_mode)
-    want = sum(
-        balanced_ce_value(outs.fused[m].data, lab, beta) for m in (1, 2)
-    )
-    assert abs(total - want) <= 1e-10
 
 
 def test_total_matches_term_by_term_oracle():
@@ -233,7 +203,7 @@ def test_total_matches_term_by_term_oracle():
         outs = random_outputs(cfg, rng)
         mask = rng.random((5, 4)) < rng.uniform(0.1, 0.9)
         lab = labels_from(mask)
-        beta = class_balance_beta(lab, cfg.beta_mode)
+        beta = class_balance_beta(lab)
         want = 0.0
         for (m, n), t in outs.side.items():
             want += balanced_loss_scalar(t.data, mask, beta)
@@ -241,27 +211,6 @@ def test_total_matches_term_by_term_oracle():
             want += balanced_loss_scalar(t.data, mask, beta)
         got = total_loss(outs, lab, cfg).item()
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_total_loss_respects_alpha_weights():
-    cfg = tiny_config(
-        stages=1,
-        levels=2,
-        alpha_side=((2.0, 0.5),),
-        alpha_fuse=(3.0,),
-    )
-    rng = np.random.default_rng(10)
-    outs = random_outputs(cfg, rng)
-    mask = rng.random((5, 4)) < 0.4
-    lab = labels_from(mask)
-    beta = class_balance_beta(lab, cfg.beta_mode)
-    want = (
-        2.0 * balanced_ce_value(outs.side[(1, 1)].data, lab, beta)
-        + 0.5 * balanced_ce_value(outs.side[(1, 2)].data, lab, beta)
-        + 3.0 * balanced_ce_value(outs.fused[1].data, lab, beta)
-    )
-    got = total_loss(outs, lab, cfg).item()
-    assert abs(got - want) <= 1e-10
 
 
 def test_total_loss_validates_completeness():

@@ -42,8 +42,6 @@ def test_config_validation():
         NetworkConfig(
             stages=2, subnet=TOY_SUBNET, recursive_mode="single", recursive_level=9
         )
-    with pytest.raises(ValueError):
-        NetworkConfig(stages=2, subnet=TOY_SUBNET, alpha_side=((1.0,),))
 
 
 def test_parse_recursive():
@@ -56,7 +54,7 @@ def test_parse_recursive():
 
 
 def test_config_dict_roundtrip():
-    cfg = toy_config(recursive_mode="single", recursive_level=2, concat_logits=True)
+    cfg = toy_config(recursive_mode="single", recursive_level=2)
     back = NetworkConfig.from_dict(cfg.to_dict())
     assert back == cfg
 
@@ -153,7 +151,7 @@ def test_recursive_feedback_changes_stage2_not_stage1():
 
 
 def test_recursive_inputs_are_probabilities_by_default():
-    # with concat_logits off, stage-2 consumes sigmoid maps; drive stage-1
+    # stage-2 consumes sigmoid maps; drive stage-1
     # heads to huge logits and the recursion must still be bounded in [0, 1]
     cfg = toy_config()
     net = build_network(cfg, seed=6)

@@ -215,15 +215,6 @@ def test_upsample_gradients_default_and_learnable():
     x = t(rng.normal(size=(1, 3, 3)), grad=True)
     err = grad_check(lambda: upsample(x, 2).sum(), [x])
     assert err <= 1e-8
-    w = Tensor(np.outer(bilinear_kernel(2), bilinear_kernel(2)), requires_grad=True)
-    err = grad_check(lambda: upsample(x, 2, weight=w).sum(), [x, w])
-    assert err <= 1e-8
-
-
-def test_upsample_rejects_bad_weight_shape():
-    x = t(np.ones((1, 3, 3)))
-    with pytest.raises(ValueError):
-        upsample(x, 2, weight=Tensor(np.ones((3, 3))))
 
 
 def test_upsample_aligns_with_repeated_pooling():

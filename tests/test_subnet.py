@@ -74,10 +74,8 @@ def test_parameter_inventory_and_shapes():
     # heads: one 1x1 conv per level
     assert params["head1/weight"].data.shape == (1, 8, 1, 1)
     assert params["head3/weight"].data.shape == (1, 16, 1, 1)
-    # upsample kernels exist for levels above 1 and are frozen by default
-    assert "head1/up_weight" not in params or params["head1/up_weight"].data.shape
-    assert params["head2/up_weight"].requires_grad is False
-    assert params["head3/up_weight"].data.shape == (8, 8)  # k = 2f for f=4
+    # upsample kernels are constants, not parameters
+    assert not any("up_weight" in name for name in params)
 
 
 def test_heads_start_at_zero_so_side_logits_are_zero():
@@ -153,8 +151,3 @@ def test_input_channel_guard():
     net = build_subnet(TOY, seed=0)
     with pytest.raises(ValueError):
         net.forward(Tensor(np.zeros((2, 8, 8))))
-
-
-def test_learnable_upsample_flag():
-    net = build_subnet(TOY, seed=0, learn_upsample=True)
-    assert net.parameters()["head2/up_weight"].requires_grad is True

@@ -143,7 +143,7 @@ def test_freeze_stage_marks_parameters():
     net = build_network(TOY, seed=0)
     freeze_stage(net, 1)
     for name, p in net.parameters().items():
-        if name.startswith("stage1/") and "up_weight" not in name:
+        if name.startswith("stage1/"):
             assert not p.requires_grad
     assert net.parameters()["stage2/fuse/weight"].requires_grad
 
