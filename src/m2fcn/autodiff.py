@@ -61,9 +61,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, name=self.name)
-
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""

@@ -56,8 +56,12 @@ def save_checkpoint(path, config: NetworkConfig, state: dict[str, np.ndarray]) -
 
 
 def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
-    """Parse a checkpoint; any malformed content raises CheckpointError."""
-    data = Path(path).read_bytes()
+    """Parse a checkpoint; an unreadable file or any malformed content
+    raises CheckpointError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from None
     view = memoryview(data)
     pos = 0
 
@@ -102,7 +106,16 @@ def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
 
 
 def network_from_checkpoint(path) -> M2FCN:
+    """Rebuild the network a checkpoint holds. Tensors whose names or shapes
+    do not fit its config raise CheckpointError before anything is built."""
     config, state = load_checkpoint(path)
+    expected = 0
+    for name, shape in config.parameter_shapes():
+        if name not in state or state[name].shape != shape:
+            raise CheckpointError(f"{path} lacks tensor {name!r} of shape {shape}")
+        expected += 1
+    if expected != len(state):
+        raise CheckpointError(f"{path} holds tensors its config does not name")
     net = build_network(config, seed=0)
     net.load_state(state)
     return net

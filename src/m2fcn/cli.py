@@ -43,11 +43,6 @@ def _config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI configuration file")
     p.add_argument("--profile", choices=sorted(PROFILES), help="base profile")
     p.add_argument("--seed", type=int, help="override run.seed")
-    p.add_argument("--stages", type=int, help="override network.stages")
-    p.add_argument("--recursive", help="override network.recursive (all or single:L)")
-    p.add_argument(
-        "--mode", choices=["end_to_end", "stepwise"], help="override train.mode"
-    )
     p.add_argument(
         "--set",
         action="append",
@@ -62,12 +57,6 @@ def _resolve(args) -> RunConfig:
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"run.seed={args.seed}")
-    if args.stages is not None:
-        overrides.append(f"network.stages={args.stages}")
-    if args.recursive is not None:
-        overrides.append(f"network.recursive={args.recursive}")
-    if args.mode is not None:
-        overrides.append(f"train.mode={args.mode}")
     return load_run_config(args.config, args.profile, overrides)
 
 
@@ -230,16 +219,13 @@ def cmd_ablate(args) -> int:
     # maps) with the training regime (frozen first stage vs joint updates);
     # the second-highest-level single variant fills out the arity axis.
     top = len(cfg.network.subnet.levels)
-    single_top = replace(cfg.network, recursive_mode="single", recursive_level=top)
     variants = [
-        ("single_top_e2e", single_top, "end_to_end"),
+        ("single_top_e2e", replace(cfg.network, recursive_level=top), "end_to_end"),
         ("multi_stepwise", cfg.network, "stepwise"),
         ("multi_e2e", cfg.network, "end_to_end"),
     ]
     if top > 1:
-        single_next = replace(
-            cfg.network, recursive_mode="single", recursive_level=top - 1
-        )
+        single_next = replace(cfg.network, recursive_level=top - 1)
         variants.insert(1, ("single_next_e2e", single_next, "end_to_end"))
     rows = ["variant,stages,recursive,train_mode,rand_fscore,best_threshold"]
     any_aborted = False
@@ -250,7 +236,7 @@ def cmd_ablate(args) -> int:
         probs = [result.network.predict(Tensor(s.image)) for _, s in entries]
         gts = [LabelImage(s.segments) for _, s in entries]
         scores, best_t, _ = best_fscore_sweep(probs, gts, cfg.eval.thresholds())
-        rec = "all" if net_cfg.recursive_mode == "all" else f"single:{net_cfg.recursive_level}"
+        rec = net_cfg.recursive
         rows.append(
             f"{name},{net_cfg.stages},{rec},{mode},{scores.fscore!r},{best_t!r}"
         )

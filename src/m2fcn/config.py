@@ -3,9 +3,9 @@
 A run is described by five sections (run, network, train, data, eval).
 Every key has a default from the selected profile; an INI file overrides
 the profile, the M2FCN_SEED environment variable overrides the file's
-seed, and explicit overrides (command-line --set/--seed and friends) win
-over everything. Unknown sections or keys are rejected rather than
-ignored so typos fail loudly.
+seed, and explicit overrides (command-line --set and --seed) win over
+everything. Unknown sections or keys are rejected rather than ignored so
+typos fail loudly.
 """
 
 from __future__ import annotations
@@ -234,12 +234,10 @@ def load_run_config(
     subnet = SubNetConfig(
         levels=tuple(LevelSpec(convs=c, channels=w) for c, w in zip(convs, widths))
     )
-    mode, rec_level = parse_recursive(get("network", "recursive"))
     network = NetworkConfig(
         stages=_to_int("network.stages", get("network", "stages")),
         subnet=subnet,
-        recursive_mode=mode,
-        recursive_level=rec_level,
+        recursive_level=parse_recursive(get("network", "recursive")),
     )
 
     seed = _to_int("run.seed", get("run", "seed"))

@@ -79,7 +79,10 @@ def _header_tokens(data: bytes):
 
 def load_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary PGM; returns (HxW integer array, maxval)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read image: {exc}") from None
     tokens = []
     end = 0
     for token, pos in _header_tokens(raw):

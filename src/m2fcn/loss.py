@@ -112,7 +112,7 @@ def fuse(side_logits: list[Tensor], h: Tensor) -> Tensor:
     if h.shape != (n,):
         raise ValueError(f"fusion weights shape {h.shape}, expected ({n},)")
     stacked = concat_channels(side_logits)
-    return conv2d(stacked, h.reshape((1, n, 1, 1)), bias=None, stride=1, padding=0)
+    return conv2d(stacked, h.reshape((1, n, 1, 1)))
 
 
 def total_loss(outs, labels: BoundaryLabels, config) -> Tensor:

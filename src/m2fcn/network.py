@@ -11,45 +11,42 @@ map, with values near 0 marking boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .autodiff import Tensor
 from .loss import fuse
 from .ops import concat_channels, sigmoid
-from .subnet import LevelSpec, SubNet, SubNetConfig, build_subnet
+from .subnet import LevelSpec, SubNet, SubNetConfig, build_subnet, parameter_shapes
 
-__all__ = [
-    "NetworkConfig",
-    "SideOutputs",
-    "M2FCN",
-    "stage_input",
-    "build_network",
-]
+__all__ = ["NetworkConfig", "SideOutputs", "M2FCN", "build_network"]
 
 
 @dataclass
 class NetworkConfig:
+    """``recursive_level`` None feeds every side output of a stage to the
+    next one; a level L in 1..N feeds only that level's map."""
+
     stages: int
     subnet: SubNetConfig
-    recursive_mode: str = "all"  # "all" | "single"
     recursive_level: int | None = None
 
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("need at least one stage")
         n = len(self.subnet.levels)
-        if self.recursive_mode not in ("all", "single"):
-            raise ValueError(f"unknown recursive mode {self.recursive_mode!r}")
-        if self.recursive_mode == "single":
-            if self.recursive_level is None or not 1 <= self.recursive_level <= n:
-                raise ValueError(
-                    f"single-input level {self.recursive_level} outside 1..{n}"
-                )
+        if self.recursive_level is not None and not 1 <= self.recursive_level <= n:
+            raise ValueError(f"single-input level {self.recursive_level} outside 1..{n}")
+
+    @property
+    def recursive(self) -> str:
+        """The ``[network] recursive`` text: "all" or "single:<level>"."""
+        return "all" if self.recursive_level is None else f"single:{self.recursive_level}"
 
     @property
     def recursive_count(self) -> int:
-        return len(self.subnet.levels) if self.recursive_mode == "all" else 1
+        return len(self.subnet.levels) if self.recursive_level is None else 1
 
     def stage_config(self, stage: int) -> SubNetConfig:
         """Per-stage sub-net config; later stages take extra input channels."""
@@ -60,15 +57,19 @@ class NetworkConfig:
             input_channels=self.subnet.input_channels + self.recursive_count,
         )
 
+    def parameter_shapes(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter, in ``M2FCN.parameters()`` order."""
+        for m in range(1, self.stages + 1):
+            for name, shape in parameter_shapes(self.stage_config(m)):
+                yield f"stage{m}/{name}", shape
+            yield f"stage{m}/fuse/weight", (len(self.subnet.levels),)
+
     def to_dict(self) -> dict:
-        recursive = (
-            "all" if self.recursive_mode == "all" else f"single:{self.recursive_level}"
-        )
         return {
             "stages": self.stages,
             "input_channels": self.subnet.input_channels,
             "levels": [[s.convs, s.channels, s.kernel] for s in self.subnet.levels],
-            "recursive": recursive,
+            "recursive": self.recursive,
         }
 
     @classmethod
@@ -89,12 +90,10 @@ class NetworkConfig:
         recursive = d.get("recursive", "all")
         if not isinstance(recursive, str):
             raise ValueError(f"recursive must be a string, got {recursive!r}")
-        mode, level = parse_recursive(recursive)
         return cls(
             stages=_int(d["stages"], "stages"),
             subnet=SubNetConfig(levels, _int(d.get("input_channels", 1), "input_channels")),
-            recursive_mode=mode,
-            recursive_level=level,
+            recursive_level=parse_recursive(recursive),
         )
 
 
@@ -104,13 +103,13 @@ def _int(value, key: str) -> int:
     return value
 
 
-def parse_recursive(text: str) -> tuple[str, int | None]:
-    """"all" or "single:<level>" -> (mode, level)."""
+def parse_recursive(text: str) -> int | None:
+    """"all" -> None, "single:<level>" -> level."""
     if text == "all":
-        return "all", None
+        return None
     if text.startswith("single:"):
         try:
-            return "single", int(text.split(":", 1)[1])
+            return int(text.split(":", 1)[1])
         except ValueError:
             pass
     raise ValueError(f"recursive must be 'all' or 'single:<level>', got {text!r}")
@@ -122,30 +121,6 @@ class SideOutputs:
 
     side: dict[tuple[int, int], Tensor]
     fused: dict[int, Tensor]
-
-
-def stage_input(
-    image: Tensor,
-    prev_maps: list[Tensor],
-    mode: str = "all",
-    level: int | None = None,
-) -> Tensor:
-    """Input to one stage.
-
-    The first stage (no previous maps) sees the raw image; later stages see
-    the image concatenated with the selected previous-stage maps.
-    """
-    if not prev_maps:
-        return image
-    if mode == "all":
-        chosen = list(prev_maps)
-    elif mode == "single":
-        if level is None or not 1 <= level <= len(prev_maps):
-            raise ValueError(f"single-input level {level} outside 1..{len(prev_maps)}")
-        chosen = [prev_maps[level - 1]]
-    else:
-        raise ValueError(f"unknown recursive mode {mode!r}")
-    return concat_channels([image] + chosen)
 
 
 class M2FCN:
@@ -165,13 +140,15 @@ class M2FCN:
         side: dict[tuple[int, int], Tensor] = {}
         fused: dict[int, Tensor] = {}
         prev: list[Tensor] = []
+        level = cfg.recursive_level
         for m, stage in enumerate(self.stages, start=1):
-            x = stage_input(image, prev, cfg.recursive_mode, cfg.recursive_level)
+            x = concat_channels([image] + prev) if prev else image
             logits = stage.forward(x)
             for n, t in enumerate(logits, start=1):
                 side[(m, n)] = t
             fused[m] = fuse(logits, self.fuse_weights[m - 1])
-            prev = [sigmoid(t) for t in logits]
+            chosen = logits if level is None else logits[level - 1 : level]
+            prev = [sigmoid(t) for t in chosen]
         return SideOutputs(side, fused)
 
     def predict(self, image: Tensor) -> np.ndarray:
@@ -187,9 +164,6 @@ class M2FCN:
             hw = self.fuse_weights[m - 1]
             out[hw.name] = hw
         return out
-
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.parameters().items() if v.requires_grad}
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}

@@ -1,7 +1,8 @@
 """Differentiable building blocks on channels x height x width maps.
 
-Convolution is cross-correlation (no kernel flip) plus bias. Upsampling is a
-fixed-weight transposed convolution with a bilinear kernel applied per
+Convolution is cross-correlation (no kernel flip) plus bias, always at
+stride 1 with "same" padding; only 2x2 max pooling downsamples. Upsampling
+is a fixed-weight transposed convolution with a bilinear kernel applied per
 channel. All ops are exact float64 and deterministic.
 """
 
@@ -30,88 +31,63 @@ class ConvParams:
     """Weights of one convolution layer.
 
     weight: (out_channels, in_channels, k, k); bias: (out_channels,).
-    padding None selects "same" mode (odd kernels only).
     """
 
     weight: Tensor
     bias: Tensor
-    padding: int | None = None
 
     def apply(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, padding=self.padding)
+        return conv2d(x, self.weight, self.bias)
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int | None = None,
-) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlate a CxHxW map with OxCxkHxkW filters.
 
-    Output spatial extent is floor((in + 2*pad - k) / stride) + 1 per axis.
-    ``padding=None`` means "same" (requires odd kernels and stride 1 to
-    actually preserve the extent; the padding amount is (k - 1) // 2 either
-    way).
+    Stride 1 with "same" zero padding of (k - 1) // 2, so kernels must be
+    odd and the output keeps the input's height and width.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d input must be CxHxW, got shape {x.shape}")
     if weight.data.ndim != 4:
         raise ValueError(f"conv2d weight must be OxCxKhxKw, got {weight.shape}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     cx, h, w = x.shape
     o, ci, kh, kw = weight.shape
     if ci != cx:
         raise ValueError(f"conv2d channel mismatch: input has {cx}, weight expects {ci}")
     if bias is not None and bias.shape != (o,):
         raise ValueError(f"bias shape {bias.shape} does not match {o} filters")
-    if padding is None:
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError("same padding needs odd kernels")
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    else:
-        if padding < 0:
-            raise ValueError("padding must be >= 0")
-        ph = pw = padding
-    ho = (h + 2 * ph - kh) // stride + 1
-    wo = (w + 2 * pw - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(
-            f"kernel {kh}x{kw} with padding {ph} exceeds input {h}x{w}"
-        )
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("same padding needs odd kernels")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = np.empty((cx, kh, kw, ho, wo))
+    cols = np.empty((cx, kh, kw, h, w))
     for ki in range(kh):
         for kj in range(kw):
-            cols[:, ki, kj] = xp[:, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-    cols2 = cols.reshape(cx * kh * kw, ho * wo)
+            cols[:, ki, kj] = xp[:, ki : ki + h, kj : kj + w]
+    cols2 = cols.reshape(cx * kh * kw, h * w)
     wmat = weight.data.reshape(o, cx * kh * kw)
     out = wmat @ cols2
     if bias is not None:
         out = out + bias.data[:, None]
-    out = out.reshape(o, ho, wo)
+    out = out.reshape(o, h, w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     res = _result(out, parents)
     if res.requires_grad:
 
         def _bw(grad):
-            g = grad.reshape(o, ho * wo)
+            g = grad.reshape(o, h * w)
             if weight.requires_grad:
                 weight.grad += (g @ cols2.T).reshape(weight.shape)
             if bias is not None and bias.requires_grad:
                 bias.grad += g.sum(axis=1)
             if x.requires_grad:
-                dcols = (wmat.T @ g).reshape(cx, kh, kw, ho, wo)
+                dcols = (wmat.T @ g).reshape(cx, kh, kw, h, w)
                 dxp = np.zeros((cx, h + 2 * ph, w + 2 * pw))
                 for ki in range(kh):
                     for kj in range(kw):
-                        dxp[
-                            :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride
-                        ] += dcols[:, ki, kj]
+                        dxp[:, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
                 x.grad += dxp[:, ph : ph + h, pw : pw + w]
 
         res._backward = _bw

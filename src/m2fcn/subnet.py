@@ -8,7 +8,9 @@ resolution, which makes a fresh stage start from all-zero side logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -62,38 +64,38 @@ def receptive_field(config: SubNetConfig, level: int) -> tuple[int, int]:
     return jump, rf
 
 
+def parameter_shapes(config: SubNetConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter of one sub-net, in construction order."""
+    in_ch = config.input_channels
+    for lvl, spec in enumerate(config.levels, start=1):
+        for ci in range(1, spec.convs + 1):
+            yield f"level{lvl}/conv{ci}/weight", (spec.channels, in_ch, spec.kernel, spec.kernel)
+            yield f"level{lvl}/conv{ci}/bias", (spec.channels,)
+            in_ch = spec.channels
+        yield f"head{lvl}/weight", (1, spec.channels, 1, 1)
+        yield f"head{lvl}/bias", (1,)
+
+
 def build_subnet(config: SubNetConfig, seed: int, prefix: str = "") -> "SubNet":
     """Seeded construction: trunk weights ~ Normal(0, sqrt(2 / fan-in)),
     biases and side heads zero."""
     rng = np.random.default_rng(seed)
-    trunk: list[list[ConvParams]] = []
-    heads: list[ConvParams] = []
-    in_ch = config.input_channels
-    for lvl, spec in enumerate(config.levels, start=1):
-        layers = []
-        for ci in range(1, spec.convs + 1):
-            k = spec.kernel
-            fan_in = in_ch * k * k
-            w = Tensor(
-                rng.normal(0.0, np.sqrt(2.0 / fan_in), (spec.channels, in_ch, k, k)),
-                requires_grad=True,
-                name=f"{prefix}level{lvl}/conv{ci}/weight",
-            )
-            b = Tensor(
-                np.zeros(spec.channels),
-                requires_grad=True,
-                name=f"{prefix}level{lvl}/conv{ci}/bias",
-            )
-            layers.append(ConvParams(w, b))
-            in_ch = spec.channels
-        trunk.append(layers)
-        head_w = Tensor(
-            np.zeros((1, spec.channels, 1, 1)),
-            requires_grad=True,
-            name=f"{prefix}head{lvl}/weight",
-        )
-        head_b = Tensor(np.zeros(1), requires_grad=True, name=f"{prefix}head{lvl}/bias")
-        heads.append(ConvParams(head_w, head_b, padding=0))
+    params = {}
+    for name, shape in parameter_shapes(config):
+        if name.startswith("level") and name.endswith("/weight"):
+            value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+        else:
+            value = np.zeros(shape)
+        params[name] = Tensor(value, requires_grad=True, name=prefix + name)
+
+    def conv(key: str) -> ConvParams:
+        return ConvParams(params[f"{key}/weight"], params[f"{key}/bias"])
+
+    trunk = [
+        [conv(f"level{lvl}/conv{ci}") for ci in range(1, spec.convs + 1)]
+        for lvl, spec in enumerate(config.levels, start=1)
+    ]
+    heads = [conv(f"head{lvl}") for lvl in range(1, len(config.levels) + 1)]
     return SubNet(config, trunk, heads)
 
 

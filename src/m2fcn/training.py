@@ -59,14 +59,13 @@ class SGD:
         }
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if not p.requires_grad:
-                continue
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif not np.isfinite(g).all():
+        """One update; a non-finite gradient raises before any parameter moves."""
+        live = [(name, p) for name, p in self.params.items() if p.requires_grad]
+        for name, p in live:
+            if p.grad is not None and not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"non-finite gradient for {name}")
+        for name, p in live:
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             v = self.velocity[name]
             v *= self.momentum
             v -= self.lr * (g + self.weight_decay * p.data)
@@ -195,11 +194,10 @@ def train_pipeline(config: NetworkConfig, data, schedule: TrainSchedule, out_dir
     """
     state1, pre_log, pre_aborted = pretrain_stage1(config, data, schedule)
     net = build_network(config, schedule.seed)
-    if config.stages >= 1:
-        params = net.parameters()
-        for name, value in state1.items():
-            if name in params:
-                params[name].data[...] = value
+    params = net.parameters()
+    for name, value in state1.items():
+        if name in params:
+            params[name].data[...] = value
     result = train(net, data, schedule, out_dir=out_dir)
     result.aborted = result.aborted or pre_aborted
     return result, pre_log

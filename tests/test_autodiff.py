@@ -101,12 +101,6 @@ def test_graph_freed_without_cycle_collector():
             gc.enable()
 
 
-def test_detach_blocks_gradient():
-    p = Tensor(np.ones(2), requires_grad=True)
-    root = (p.detach() * Tensor(np.full(2, 3.0))).sum()
-    assert not root.requires_grad
-
-
 def test_reshape_roundtrip_gradient():
     p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     (p.reshape((3, 2)) * p.reshape((3, 2))).sum().backward()

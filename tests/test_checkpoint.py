@@ -26,7 +26,6 @@ from m2fcn.subnet import LevelSpec, SubNetConfig
 CFG = NetworkConfig(
     stages=2,
     subnet=SubNetConfig(levels=(LevelSpec(1, 2), LevelSpec(1, 2))),
-    recursive_mode="single",
     recursive_level=2,
 )
 
@@ -139,6 +138,30 @@ GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "a
 def test_crafted_files_rejected(workdir, blob):
     with pytest.raises(CheckpointError):
         load_blob(workdir, blob)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # One level of 1,000,000 channels: building it would need 65.5 TiB.
+        pack({**GOOD, "input_channels": 10**6, "levels": [[1, 10**6, 3]]}),
+        pack(GOOD, [(b"stage1/level1/conv1/weight", (2, 1, 3, 1), bytes(48))]),
+    ],
+    ids=["no-tensors-huge-config", "wrong-shape"],
+)
+def test_tensors_that_do_not_fit_config_rejected(workdir, blob):
+    path = workdir / f"case{next(_CASES)}.m2f"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError):
+        network_from_checkpoint(path)
+
+
+def test_extra_tensor_rejected(workdir, valid):
+    config, state = load_blob(workdir, valid)
+    path = workdir / "extra.m2f"
+    save_checkpoint(path, config, {**state, "stage9/fuse/weight": state["stage1/fuse/weight"]})
+    with pytest.raises(CheckpointError, match="does not name"):
+        network_from_checkpoint(path)
 
 
 def test_pack_builds_loadable_files(workdir):

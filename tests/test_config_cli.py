@@ -27,7 +27,7 @@ def test_toy_profile_defaults():
     assert cfg.profile == "toy"
     assert cfg.network.stages == 2
     assert len(cfg.network.subnet.levels) == 3
-    assert cfg.network.recursive_mode == "all"
+    assert cfg.network.recursive_level is None
     assert cfg.seed == 0
     assert cfg.data.height == cfg.data.width == 48
     assert cfg.schedule.momentum == 0.9
@@ -126,7 +126,6 @@ def test_widths_longer_than_levels_truncated():
 
 def test_recursive_single_parsing():
     cfg = load_run_config(overrides=["network.recursive=single:2"], env={})
-    assert cfg.network.recursive_mode == "single"
     assert cfg.network.recursive_level == 2
     with pytest.raises((ConfigError, ValueError)):
         load_run_config(overrides=["network.recursive=single:9"], env={})
@@ -341,6 +340,22 @@ def test_cli_exit_code_usage_errors(tmp_path):
     assert r.returncode == 2
     r = run_cli(["frobnicate"])
     assert r.returncode == 2
+
+
+def test_cli_missing_inputs_exit_2(workdir, tmp_path):
+    data = str(workdir / "data")
+    broken = tmp_path / "broken"
+    (broken / "images").mkdir(parents=True)
+    (broken / "manifest.txt").write_text("000 train\n")
+    for args in (
+        ["predict", "--model", str(tmp_path / "nope.m2f"), "--data", data,
+         "--out", str(tmp_path / "p")],
+        ["eval", "--pred", str(tmp_path), "--data", data, "--out", str(tmp_path / "e")],
+        ["train", "--data", str(broken), "--out", str(tmp_path / "t")],
+    ):
+        r = run_cli(args)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_cli_seed_flag_changes_model(workdir, tmp_path):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from m2fcn.autodiff import Tensor
-from m2fcn.network import (
-    M2FCN,
-    NetworkConfig,
-    build_network,
-    parse_recursive,
-    stage_input,
-)
+from m2fcn.network import M2FCN, NetworkConfig, build_network, parse_recursive
 from m2fcn.ops import sigmoid
 from m2fcn.subnet import LevelSpec, SubNetConfig
 
@@ -37,16 +31,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(stages=0, subnet=TOY_SUBNET)
     with pytest.raises(ValueError):
-        NetworkConfig(stages=2, subnet=TOY_SUBNET, recursive_mode="bogus")
+        NetworkConfig(stages=2, subnet=TOY_SUBNET, recursive_level=0)
     with pytest.raises(ValueError):
-        NetworkConfig(
-            stages=2, subnet=TOY_SUBNET, recursive_mode="single", recursive_level=9
-        )
+        NetworkConfig(stages=2, subnet=TOY_SUBNET, recursive_level=9)
 
 
 def test_parse_recursive():
-    assert parse_recursive("all") == ("all", None)
-    assert parse_recursive("single:3") == ("single", 3)
+    assert parse_recursive("all") is None
+    assert parse_recursive("single:3") == 3
     with pytest.raises(ValueError):
         parse_recursive("single")
     with pytest.raises(ValueError):
@@ -54,29 +46,22 @@ def test_parse_recursive():
 
 
 def test_config_dict_roundtrip():
-    cfg = toy_config(recursive_mode="single", recursive_level=2)
+    cfg = toy_config(recursive_level=2)
+    assert cfg.to_dict()["recursive"] == "single:2"
     back = NetworkConfig.from_dict(cfg.to_dict())
     assert back == cfg
 
 
-def test_stage_input_channel_counts():
-    img = Tensor(np.zeros((1, 6, 6)))
-    maps = [Tensor(np.zeros((1, 6, 6))) for _ in range(5)]
-    assert stage_input(img, None, "all", None) is img  # stage 1 input is X
-    assert stage_input(img, maps, "all", None).data.shape[0] == 6
-    assert stage_input(img, maps, "single", 5).data.shape[0] == 2
-
-
 def test_recursive_count():
     assert toy_config().recursive_count == 3
-    assert toy_config(recursive_mode="single", recursive_level=1).recursive_count == 1
+    assert toy_config(recursive_level=1).recursive_count == 1
 
 
 def test_stage_config_input_channels():
     cfg = toy_config()
     assert cfg.stage_config(1).input_channels == 1
     assert cfg.stage_config(2).input_channels == 4  # image + 3 side maps
-    single = toy_config(recursive_mode="single", recursive_level=3)
+    single = toy_config(recursive_level=3)
     assert single.stage_config(2).input_channels == 2
 
 
@@ -151,20 +136,29 @@ def test_recursive_feedback_changes_stage2_not_stage1():
 
 
 def test_recursive_inputs_are_probabilities_by_default():
-    # stage-2 consumes sigmoid maps; drive stage-1
-    # heads to huge logits and the recursion must still be bounded in [0, 1]
-    cfg = toy_config()
-    net = build_network(cfg, seed=6)
-    params = net.parameters()
-    params["stage1/head1/bias"].data[...] = 50.0
+    # Stage 1 sees the image itself; stage 2 sees the image plus the chosen
+    # sigmoid maps. Drive the stage-1 heads to huge logits: the recursive
+    # channels must still lie in [0, 1].
     img = Tensor(np.random.default_rng(5).uniform(0, 1, (1, 8, 8)))
-    prev = [sigmoid(t) for t in net.stages[0].forward(img)]
-    x2 = stage_input(img, prev, cfg.recursive_mode, cfg.recursive_level)
-    assert x2.data[1:].min() >= 0.0 and x2.data[1:].max() <= 1.0
+    for level, channels in ((None, 4), (2, 2)):
+        net = build_network(toy_config(recursive_level=level), seed=6)
+        params = net.parameters()
+        for n in (1, 2, 3):
+            params[f"stage1/head{n}/bias"].data[...] = 50.0
+        seen = []
+        for stage in net.stages:
+            forward = stage.forward
+            stage.forward = lambda x, forward=forward: seen.append(x) or forward(x)
+        net.forward_all(img)
+        assert seen[0] is img
+        x2 = seen[1].data
+        assert x2.shape == (channels, 8, 8)
+        assert np.array_equal(x2[0], img.data[0])
+        assert x2[1:].min() >= 0.0 and x2[1:].max() <= 1.0
 
 
 def test_single_mode_feeds_selected_level():
-    cfg = toy_config(recursive_mode="single", recursive_level=2)
+    cfg = toy_config(recursive_level=2)
     net = build_network(cfg, seed=7)
     img = Tensor(np.zeros((1, 8, 8)))
     outs = net.forward_all(img)

@@ -61,14 +61,6 @@ def test_conv_matches_loop_oracle():
     assert np.allclose(got, conv2d_loops(x, w, b), atol=1e-12)
 
 
-def test_conv_stride_2_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 7, 6))
-    w = rng.normal(size=(3, 2, 3, 3))
-    got = conv2d(t(x), t(w), None, stride=2).data
-    assert np.allclose(got, conv2d_loops(x, w, None, stride=2), atol=1e-12)
-
-
 def test_conv_1x1_matches_loop_oracle():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 3, 3))
@@ -88,14 +80,6 @@ def test_conv_gradients():
     w = t(rng.normal(size=(3, 2, 3, 3)) * 0.3, grad=True)
     b = t(rng.normal(size=3) * 0.1, grad=True)
     err = grad_check(lambda: conv2d(x, w, b).sum(), [x, w, b])
-    assert err <= 1e-6
-
-
-def test_conv_gradient_even_under_stride():
-    rng = np.random.default_rng(6)
-    x = t(rng.normal(size=(1, 6, 6)), grad=True)
-    w = t(rng.normal(size=(2, 1, 3, 3)) * 0.3, grad=True)
-    err = grad_check(lambda: conv2d(x, w, None, stride=2).sum(), [x, w])
     assert err <= 1e-6
 
 

@@ -60,8 +60,12 @@ def test_tracer_installs_traces_and_restores():
         ("Tensor", "__init__"),
     ):
         assert key in patched
-    names = {span[0] for span in tracer.all_spans()}
-    assert {"ops.conv2d.bwd", "loss.side_loss.bwd", "autodiff.backward"} <= names
+    names = [span[0] for span in tracer.all_spans()]
+    assert {"ops.conv2d.bwd", "loss.side_loss.bwd", "autodiff.backward"} <= set(names)
+    # Per stage: 2 trunk convs, 2 heads and the fusion conv. A sub-net conv
+    # that escaped the patch sites would leave only the 2 fusion convs.
+    assert names.count("ops.conv2d.fwd") == 10
+    assert names.count("ops.conv2d.bwd") == 10
     after = attributes()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert tracer._gc_callback not in gc.callbacks

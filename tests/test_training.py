@@ -97,6 +97,16 @@ def test_sgd_raises_on_nonfinite_gradient():
         opt.step()
 
 
+def test_sgd_nonfinite_gradient_moves_no_parameter():
+    a = Tensor(np.array([1.0]), requires_grad=True, name="a")
+    b = Tensor(np.array([1.0]), requires_grad=True, name="b")
+    opt = SGD({"a": a, "b": b}, lr=0.1, momentum=0.9, weight_decay=0.0)
+    a.grad, b.grad = np.array([1.0]), np.array([np.inf])
+    with pytest.raises(FloatingPointError, match="for b"):
+        opt.step()
+    assert np.array_equal(a.data, [1.0]) and np.array_equal(opt.velocity["a"], [0.0])
+
+
 def test_sgd_validates_hyperparameters():
     p = Tensor(np.array([1.0]), requires_grad=True, name="p")
     with pytest.raises(ValueError):
