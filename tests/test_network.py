@@ -135,25 +135,43 @@ def test_recursive_feedback_changes_stage2_not_stage1():
     assert not np.array_equal(a2, b2)
 
 
-def test_recursive_inputs_are_probabilities_by_default():
+def stage_inputs(net: M2FCN, image: Tensor) -> list[Tensor]:
+    """Run ``net`` on ``image`` and return the input each stage received."""
+    seen = []
+    for stage in net.stages:
+        forward = stage.forward
+        stage.forward = lambda x, forward=forward: seen.append(x) or forward(x)
+    net.forward_all(image)
+    return seen
+
+
+def test_stage_input_channel_counts():
     # Stage 1 sees the image itself; stage 2 sees the image plus the chosen
-    # sigmoid maps. Drive the stage-1 heads to huge logits: the recursive
-    # channels must still lie in [0, 1].
+    # sigmoid side maps of stage 1.
+    img = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 6, 6)))
+    net = perturbed(build_network(toy_config(), seed=2))
+    first, second = stage_inputs(net, img)
+    assert first is img
+    assert second.data.shape == (4, 6, 6)  # image + 3 side maps
+    assert np.array_equal(second.data[0], img.data[0])
+    single = perturbed(build_network(toy_config(recursive_level=3), seed=2))
+    first, second = stage_inputs(single, img)
+    assert first is img
+    assert second.data.shape == (2, 6, 6)
+    side3 = single.forward_all(img).side[(1, 3)]
+    assert np.array_equal(second.data[1], sigmoid(side3).data[0])
+
+
+def test_recursive_inputs_are_probabilities_by_default():
+    # Drive the stage-1 heads to huge logits: the recursive channels of the
+    # stage-2 input must still lie in [0, 1].
     img = Tensor(np.random.default_rng(5).uniform(0, 1, (1, 8, 8)))
-    for level, channels in ((None, 4), (2, 2)):
+    for level in (None, 2):
         net = build_network(toy_config(recursive_level=level), seed=6)
         params = net.parameters()
         for n in (1, 2, 3):
             params[f"stage1/head{n}/bias"].data[...] = 50.0
-        seen = []
-        for stage in net.stages:
-            forward = stage.forward
-            stage.forward = lambda x, forward=forward: seen.append(x) or forward(x)
-        net.forward_all(img)
-        assert seen[0] is img
-        x2 = seen[1].data
-        assert x2.shape == (channels, 8, 8)
-        assert np.array_equal(x2[0], img.data[0])
+        x2 = stage_inputs(net, img)[1].data
         assert x2[1:].min() >= 0.0 and x2[1:].max() <= 1.0
 
 
