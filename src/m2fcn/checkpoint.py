@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .iohelpers import atomic_write_bytes
-from .network import M2FCN, NetworkConfig, build_network
+from .iohelpers import atomic_open
+from .network import M2FCN, NetworkConfig
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "network_from_checkpoint"]
 
@@ -36,51 +36,57 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: NetworkConfig, state: dict[str, np.ndarray]) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
+    """Write the file through its .partial name, one tensor at a time."""
     cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
-    blob += struct.pack("<I", len(cfg))
-    blob += cfg
-    blob += struct.pack("<I", len(state))
-    for name, arr in state.items():
-        a = np.ascontiguousarray(arr, dtype=np.float64)
-        encoded = name.encode()
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", a.ndim)
-        for d in a.shape:
-            blob += struct.pack("<I", d)
-        blob += a.astype("<f8").tobytes()
-    atomic_write_bytes(path, bytes(blob))
+    with atomic_open(path) as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg + struct.pack("<I", len(state)))
+        for name, arr in state.items():
+            a = np.ascontiguousarray(arr, dtype="<f8")
+            encoded = name.encode()
+            fh.write(struct.pack(f"<H{len(encoded)}sB{a.ndim}I",
+                                 len(encoded), encoded, a.ndim, *a.shape))
+            fh.write(a)
 
 
 def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     """Parse a checkpoint; an unreadable file or any malformed content
-    raises CheckpointError."""
+    raises CheckpointError.
+
+    Every length is checked against the file size before anything is read
+    or allocated, and each tensor's values are read straight into a fresh
+    array of their own.
+    """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _parse(fh, os.fstat(fh.fileno()).st_size, path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from None
-    view = memoryview(data)
+
+
+def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     pos = 0
 
-    def take(n: int) -> memoryview:
+    def claim(n: int) -> None:
         nonlocal pos
-        if pos + n > len(view):
+        if n > size - pos:
             raise CheckpointError(f"truncated checkpoint {path}")
-        chunk = view[pos : pos + n]
         pos += n
+
+    def take(n: int) -> bytes:
+        claim(n)
+        chunk = fh.read(n)
+        if len(chunk) != n:  # the file shrank while being read
+            raise CheckpointError(f"truncated checkpoint {path}")
         return chunk
 
-    if bytes(take(4)) != MAGIC:
+    if take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
-        config = NetworkConfig.from_dict(json.loads(bytes(take(cfg_len)).decode()))
+        config = NetworkConfig.from_dict(json.loads(take(cfg_len).decode()))
     except (ValueError, KeyError, RecursionError) as exc:
         raise CheckpointError(f"bad config block in {path}: {exc}") from exc
     (count,) = struct.unpack("<I", take(4))
@@ -88,26 +94,30 @@ def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = bytes(take(name_len)).decode()
+            name = take(name_len).decode()
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name is not UTF-8 in {path}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         # Python integers: a numpy product of four large dims wraps to 0.
-        values = take(8 * math.prod(dims))
+        claim(8 * math.prod(dims))
         try:
-            arr = np.frombuffer(values, dtype="<f8").reshape(dims)
+            arr = np.empty(dims, dtype="<f8")
         except ValueError as exc:  # more dims than numpy supports
             raise CheckpointError(f"bad shape {dims} for {name!r} in {path}") from exc
-        state[name] = np.array(arr, dtype=np.float64)
-    if pos != len(view):
+        if fh.readinto(arr) != arr.nbytes:
+            raise CheckpointError(f"truncated checkpoint {path}")
+        state[name] = arr
+    if pos != size or fh.read(1):
         raise CheckpointError(f"trailing bytes in checkpoint {path}")
     return config, state
 
 
 def network_from_checkpoint(path) -> M2FCN:
-    """Rebuild the network a checkpoint holds. Tensors whose names or shapes
-    do not fit its config raise CheckpointError before anything is built."""
+    """Build the network a checkpoint holds from its own tensors, with no
+    random init. Tensors whose names or shapes do not fit its config raise
+    CheckpointError before anything is built; a NaN or infinite value raises
+    it too, naming the tensor."""
     config, state = load_checkpoint(path)
     expected = 0
     for name, shape in config.parameter_shapes():
@@ -116,6 +126,7 @@ def network_from_checkpoint(path) -> M2FCN:
         expected += 1
     if expected != len(state):
         raise CheckpointError(f"{path} holds tensors its config does not name")
-    net = build_network(config, seed=0)
-    net.load_state(state)
-    return net
+    try:
+        return M2FCN(config, state)
+    except FloatingPointError as exc:  # raised by Tensor for non-finite data
+        raise CheckpointError(f"{path} holds {exc}") from None

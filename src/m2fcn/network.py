@@ -18,9 +18,10 @@ import numpy as np
 from .autodiff import Tensor
 from .loss import fuse
 from .ops import concat_channels, sigmoid
-from .subnet import LevelSpec, SubNet, SubNetConfig, build_subnet, parameter_shapes
+from .subnet import LevelSpec, SubNet, SubNetConfig, parameter_shapes
+from .subnet import initial_values as subnet_initial_values
 
-__all__ = ["NetworkConfig", "SideOutputs", "M2FCN", "build_network"]
+__all__ = ["NetworkConfig", "SideOutputs", "M2FCN", "build_network", "initial_values"]
 
 
 @dataclass
@@ -124,12 +125,25 @@ class SideOutputs:
 
 
 class M2FCN:
-    """Stage chain plus per-stage fusion weights."""
+    """Stage chain plus per-stage fusion weights.
 
-    def __init__(self, config: NetworkConfig, stages: list[SubNet], fuse_weights: list[Tensor]):
+    The one way to build a network: its parameters wrap the float64 arrays
+    of ``values``, keyed by ``config.parameter_shapes()`` name, without
+    copying them. A missing key raises KeyError; shapes are the caller's to
+    check.
+    """
+
+    def __init__(self, config: NetworkConfig, values: dict[str, np.ndarray]):
         self.config = config
-        self.stages = stages
-        self.fuse_weights = fuse_weights
+        self.stages = [
+            SubNet(config.stage_config(m), values, prefix=f"stage{m}/")
+            for m in range(1, config.stages + 1)
+        ]
+        self.fuse_weights = [
+            Tensor(values[f"stage{m}/fuse/weight"], requires_grad=True,
+                   name=f"stage{m}/fuse/weight")
+            for m in range(1, config.stages + 1)
+        ]
 
     def forward_all(self, image: Tensor) -> SideOutputs:
         cfg = self.config
@@ -147,8 +161,9 @@ class M2FCN:
             for n, t in enumerate(logits, start=1):
                 side[(m, n)] = t
             fused[m] = fuse(logits, self.fuse_weights[m - 1])
-            chosen = logits if level is None else logits[level - 1 : level]
-            prev = [sigmoid(t) for t in chosen]
+            if m < cfg.stages:  # the last stage's maps feed nothing
+                chosen = logits if level is None else logits[level - 1 : level]
+                prev = [sigmoid(t) for t in chosen]
         return SideOutputs(side, fused)
 
     def predict(self, image: Tensor) -> np.ndarray:
@@ -169,6 +184,7 @@ class M2FCN:
         return {name: p.data.copy() for name, p in self.parameters().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the existing parameters (the trainer's rollback)."""
         params = self.parameters()
         missing = set(params) - set(state)
         extra = set(state) - set(params)
@@ -184,17 +200,21 @@ class M2FCN:
             p.data[...] = arr
 
 
-def build_network(config: NetworkConfig, seed: int) -> M2FCN:
-    """Seeded construction; equal fusion weights 1/N at the start."""
+def initial_values(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
+    """Seeded starting values of every parameter, in ``parameter_shapes``
+    order: one seed per stage from ``SeedSequence(seed)``, equal fusion
+    weights 1/N."""
     n = len(config.subnet.levels)
     stage_seeds = np.random.SeedSequence(seed).generate_state(config.stages)
-    stages = []
-    fuse_weights = []
+    values: dict[str, np.ndarray] = {}
     for m in range(1, config.stages + 1):
-        stages.append(
-            build_subnet(config.stage_config(m), int(stage_seeds[m - 1]), prefix=f"stage{m}/")
+        values.update(
+            subnet_initial_values(config.stage_config(m), int(stage_seeds[m - 1]), f"stage{m}/")
         )
-        fuse_weights.append(
-            Tensor(np.full(n, 1.0 / n), requires_grad=True, name=f"stage{m}/fuse/weight")
-        )
-    return M2FCN(config, stages, fuse_weights)
+        values[f"stage{m}/fuse/weight"] = np.full(n, 1.0 / n)
+    return values
+
+
+def build_network(config: NetworkConfig, seed: int) -> M2FCN:
+    """Seeded construction."""
+    return M2FCN(config, initial_values(config, seed))

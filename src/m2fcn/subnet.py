@@ -17,7 +17,9 @@ import numpy as np
 from .autodiff import Tensor
 from .ops import ConvParams, maxpool2, relu, upsample
 
-__all__ = ["LevelSpec", "SubNetConfig", "SubNet", "build_subnet", "receptive_field"]
+__all__ = [
+    "LevelSpec", "SubNetConfig", "SubNet", "build_subnet", "initial_values", "receptive_field",
+]
 
 
 @dataclass(frozen=True)
@@ -76,36 +78,47 @@ def parameter_shapes(config: SubNetConfig) -> Iterator[tuple[str, tuple[int, ...
         yield f"head{lvl}/bias", (1,)
 
 
-def build_subnet(config: SubNetConfig, seed: int, prefix: str = "") -> "SubNet":
-    """Seeded construction: trunk weights ~ Normal(0, sqrt(2 / fan-in)),
+def initial_values(config: SubNetConfig, seed: int, prefix: str = "") -> dict[str, np.ndarray]:
+    """Seeded starting values, keyed by ``prefix`` + ``parameter_shapes`` name
+    and drawn in that order: trunk weights ~ Normal(0, sqrt(2 / fan-in)),
     biases and side heads zero."""
     rng = np.random.default_rng(seed)
-    params = {}
+    values = {}
     for name, shape in parameter_shapes(config):
         if name.startswith("level") and name.endswith("/weight"):
-            value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+            values[prefix + name] = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
         else:
-            value = np.zeros(shape)
-        params[name] = Tensor(value, requires_grad=True, name=prefix + name)
+            values[prefix + name] = np.zeros(shape)
+    return values
 
-    def conv(key: str) -> ConvParams:
-        return ConvParams(params[f"{key}/weight"], params[f"{key}/bias"])
 
-    trunk = [
-        [conv(f"level{lvl}/conv{ci}") for ci in range(1, spec.convs + 1)]
-        for lvl, spec in enumerate(config.levels, start=1)
-    ]
-    heads = [conv(f"head{lvl}") for lvl in range(1, len(config.levels) + 1)]
-    return SubNet(config, trunk, heads)
+def build_subnet(config: SubNetConfig, seed: int, prefix: str = "") -> "SubNet":
+    """Seeded construction."""
+    return SubNet(config, initial_values(config, seed, prefix), prefix)
 
 
 class SubNet:
-    """Forward pass produces one full-resolution logit map per level."""
+    """Forward pass produces one full-resolution logit map per level.
 
-    def __init__(self, config, trunk, heads):
+    The parameters wrap the float64 arrays of ``values`` (keys ``prefix`` +
+    ``parameter_shapes`` name) without copying them; a missing key raises
+    KeyError.
+    """
+
+    def __init__(self, config: SubNetConfig, values: dict[str, np.ndarray], prefix: str = ""):
+        def conv(key: str) -> ConvParams:
+            weight, bias = f"{prefix}{key}/weight", f"{prefix}{key}/bias"
+            return ConvParams(
+                Tensor(values[weight], requires_grad=True, name=weight),
+                Tensor(values[bias], requires_grad=True, name=bias),
+            )
+
         self.config = config
-        self.trunk = trunk
-        self.heads = heads
+        self.trunk = [
+            [conv(f"level{lvl}/conv{ci}") for ci in range(1, spec.convs + 1)]
+            for lvl, spec in enumerate(config.levels, start=1)
+        ]
+        self.heads = [conv(f"head{lvl}") for lvl in range(1, len(config.levels) + 1)]
 
     def forward(self, x: Tensor) -> list[Tensor]:
         if x.data.ndim != 3 or x.shape[0] != self.config.input_channels:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, zero_grads
 from .checkpoint import save_checkpoint
 from .loss import BoundaryLabels, balanced_ce_value, class_balance_beta, total_loss
-from .network import M2FCN, NetworkConfig, build_network
+from .network import M2FCN, NetworkConfig, build_network, initial_values
 
 __all__ = [
     "SGD",
@@ -193,11 +193,7 @@ def train_pipeline(config: NetworkConfig, data, schedule: TrainSchedule, out_dir
     Returns (TrainResult, pretrain log).
     """
     state1, pre_log, pre_aborted = pretrain_stage1(config, data, schedule)
-    net = build_network(config, schedule.seed)
-    params = net.parameters()
-    for name, value in state1.items():
-        if name in params:
-            params[name].data[...] = value
+    net = M2FCN(config, {**initial_values(config, schedule.seed), **state1})
     result = train(net, data, schedule, out_dir=out_dir)
     result.aborted = result.aborted or pre_aborted
     return result, pre_log

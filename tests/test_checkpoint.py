@@ -7,6 +7,9 @@ turns into exit code 2.
 import itertools
 import json
 import struct
+import tracemalloc
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,10 @@ from m2fcn.checkpoint import (
     network_from_checkpoint,
     save_checkpoint,
 )
+from m2fcn.data import Sample
 from m2fcn.network import NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
+from m2fcn.training import TrainSchedule, train
 
 CFG = NetworkConfig(
     stages=2,
@@ -65,6 +70,9 @@ def pack(config, tensors=()) -> bytes:
     return blob
 
 
+GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "all"}
+
+
 def test_round_trip(tmp_path):
     net = build_network(CFG, seed=3)
     path = tmp_path / "model.m2f"
@@ -78,6 +86,74 @@ def test_round_trip(tmp_path):
     back = network_from_checkpoint(path)
     for name, value in net.state().items():
         assert back.parameters()[name].data.tobytes() == value.tobytes()
+
+
+def test_load_makes_no_random_draws(tmp_path, monkeypatch):
+    net = build_network(CFG, seed=3)
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, net.state())
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    back = network_from_checkpoint(path)
+    for name, value in net.state().items():
+        assert back.parameters()[name].data.tobytes() == value.tobytes()
+
+
+def test_loaded_parameters_are_writable_separate_arrays(tmp_path):
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, build_network(CFG, seed=3).state())
+    arrays = [p.data for p in network_from_checkpoint(path).parameters().values()]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable and a.flags.c_contiguous and a.dtype == np.float64
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_train_step_on_loaded_network_matches_saved(tmp_path):
+    rng = np.random.default_rng(0)
+    sample = Sample(rng.uniform(0.1, 0.9, (1, 8, 8)), rng.random((8, 8)) < 0.3)
+    schedule = TrainSchedule(phase2_iters=1, phase2_lr=1e-2)
+    saved = build_network(CFG, seed=3)
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, saved.state())
+    loaded = network_from_checkpoint(path)
+    a = train(saved, [sample], schedule)
+    b = train(loaded, [sample], schedule)
+    assert a.log == b.log and not a.aborted
+    for name, value in a.network.state().items():
+        assert b.network.state()[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected(tmp_path, bad):
+    state = build_network(CFG, seed=3).state()
+    state["stage2/head1/weight"][0, 1, 0, 0] = bad
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, state)
+    with pytest.raises(CheckpointError, match="non-finite values in tensor stage2/head1/weight"):
+        network_from_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        MAGIC + struct.pack("<II", VERSION, 0xFFFFFFFF) + b"{}",
+        pack(GOOD, [(b"w", (4096, 4096), bytes(8))]),
+    ],
+    ids=["config-length", "tensor-length"],
+)
+def test_declared_lengths_past_the_end_allocate_nothing(workdir, blob):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_blob(workdir, blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bad_magic(workdir, valid):
@@ -99,9 +175,6 @@ def test_every_truncated_prefix_rejected(workdir, valid):
 def test_trailing_bytes_rejected(workdir, valid):
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_blob(workdir, valid + b"\0")
-
-
-GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "all"}
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from m2fcn.checkpoint import load_checkpoint, save_checkpoint
 from m2fcn.config import ConfigError, load_run_config
 from m2fcn.subnet import receptive_field
 
@@ -356,6 +357,17 @@ def test_cli_missing_inputs_exit_2(workdir, tmp_path):
         r = run_cli(args)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_cli_predict_non_finite_checkpoint_exit_2(workdir, tmp_path):
+    config, state = load_checkpoint(workdir / "run1" / "model.m2f")
+    state["stage1/level1/conv1/weight"][0, 0, 1, 1] = np.nan
+    model = tmp_path / "nan.m2f"
+    save_checkpoint(model, config, state)
+    r = run_cli(["predict", "--model", str(model), "--data", str(workdir / "data"),
+                 "--out", str(tmp_path / "p")])
+    assert r.returncode == 2, r.stderr
+    assert "non-finite values in tensor stage1/level1/conv1/weight" in r.stderr
 
 
 def test_cli_seed_flag_changes_model(workdir, tmp_path):

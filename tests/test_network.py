@@ -175,6 +175,20 @@ def test_recursive_inputs_are_probabilities_by_default():
         assert x2[1:].min() >= 0.0 and x2[1:].max() <= 1.0
 
 
+@pytest.mark.parametrize("level", [None, 2])
+def test_sigmoid_only_on_maps_a_later_stage_reads(monkeypatch, level):
+    # (S - 1) * recursive_count sigmoid calls per forward: the last stage's
+    # side outputs feed nothing.
+    from m2fcn import network
+
+    cfg = NetworkConfig(stages=3, subnet=TOY_SUBNET, recursive_level=level)
+    net = build_network(cfg, seed=16)
+    calls = []
+    monkeypatch.setattr(network, "sigmoid", lambda t: calls.append(t) or sigmoid(t))
+    net.forward_all(Tensor(np.zeros((1, 8, 8))))
+    assert len(calls) == (cfg.stages - 1) * cfg.recursive_count
+
+
 def test_single_mode_feeds_selected_level():
     cfg = toy_config(recursive_level=2)
     net = build_network(cfg, seed=7)

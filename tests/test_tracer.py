@@ -13,6 +13,7 @@ import numpy as np
 
 from m2fcn import autodiff, checkpoint, evaluation, loss, network, ops, subnet, training
 from m2fcn.autodiff import Tensor
+from m2fcn.checkpoint import save_checkpoint
 from m2fcn.data import Sample
 from m2fcn.network import NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
@@ -69,3 +70,19 @@ def test_tracer_installs_traces_and_restores():
     after = attributes()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert tracer._gc_callback not in gc.callbacks
+
+
+def test_traced_checkpoint_load_records_parse_span(tmp_path):
+    # checkpoint.parse_ms and rebuild_ms split a load at the module-level
+    # load_checkpoint call; a load that bypassed it would read parse 0.
+    levels = (LevelSpec(1, 2), LevelSpec(1, 2))
+    config = NetworkConfig(stages=2, subnet=SubNetConfig(levels=levels))
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, config, build_network(config, 0).state())
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        checkpoint.network_from_checkpoint(path)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.all_spans()].count("checkpoint.parse") == 1
