@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, grad_check
-from .checkpoint import CheckpointError, network_from_checkpoint, save_checkpoint
-from .config import PROFILES, ConfigError, RunConfig, load_run_config
+from .checkpoint import network_from_checkpoint, save_checkpoint
+from .config import PROFILES, RunConfig, load_run_config
 from .data import (
     DataError,
     Sample,
@@ -114,8 +114,6 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    if (args.model is None) == (args.pred is None):
-        raise ConfigError("eval needs exactly one of --model or --pred")
     net = network_from_checkpoint(args.model) if args.model else None
     entries = load_dataset(args.data, args.split)
     probs, gts = [], []
@@ -273,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="Rand-score sweep over thresholds")
     _config_args(p)
-    p.add_argument("--model", help="checkpoint file to predict with")
-    p.add_argument("--pred", help="directory of pred_NNN.pgm maps to score instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="checkpoint file to predict with")
+    source.add_argument("--pred", help="directory of pred_NNN.pgm maps to score instead")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split", default="test", choices=["train", "test"])
@@ -301,10 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, DataError and CheckpointError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -8,7 +8,7 @@ stem and split per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,7 @@ def load_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary PGM; returns (HxW integer array, maxval)."""
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read image: {exc}") from None
     tokens = []
     end = 0
@@ -440,8 +440,12 @@ def load_dataset(root, split: str | None = None) -> list[tuple[str, Sample]]:
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise DataError(f"no manifest at {manifest}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read manifest {manifest}: {exc}") from None
     entries: list[tuple[str, Sample]] = []
-    for line_no, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -34,7 +34,7 @@ from oracles import (
     set_partitions,
 )
 
-TOY = load_run_config(env={})
+TOY = load_run_config()
 
 
 # 1 ---------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_criterion_gradient_suite():
 def test_criterion_architecture_table():
     """Published profile reports strides (1,2,4,8,16) and receptive fields
     (5,14,40,92,196), exactly."""
-    cfg = load_run_config(profile="paper", env={})
+    cfg = load_run_config(profile="paper")
     fields = [
         receptive_field(cfg.network.subnet, l)
         for l in range(1, len(cfg.network.subnet.levels) + 1)

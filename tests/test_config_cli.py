@@ -1,15 +1,18 @@
 """Configuration resolution and the command-line surface."""
 
 import csv
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from m2fcn.checkpoint import load_checkpoint, save_checkpoint
-from m2fcn.config import ConfigError, load_run_config
+from m2fcn.config import _KNOWN, ConfigError, DataParams, EvalParams, load_run_config
 from m2fcn.subnet import receptive_field
+from m2fcn.training import TrainSchedule
 
 CLI = [sys.executable, "-m", "m2fcn.cli"]
 
@@ -24,7 +27,7 @@ def run_cli(args, **kw):
 
 
 def test_toy_profile_defaults():
-    cfg = load_run_config(profile="toy", env={})
+    cfg = load_run_config(profile="toy")
     assert cfg.profile == "toy"
     assert cfg.network.stages == 2
     assert len(cfg.network.subnet.levels) == 3
@@ -36,7 +39,7 @@ def test_toy_profile_defaults():
 
 
 def test_paper_profile_geometry():
-    cfg = load_run_config(profile="paper", env={})
+    cfg = load_run_config(profile="paper")
     assert cfg.network.stages == 3
     levels = cfg.network.subnet.levels
     assert len(levels) == 5
@@ -48,7 +51,26 @@ def test_paper_profile_geometry():
 
 
 def test_default_profile_is_toy():
-    assert load_run_config(env={}).profile == "toy"
+    assert load_run_config().profile == "toy"
+
+
+def test_paper_profile_values_pinned():
+    cfg = load_run_config(profile="paper")
+    assert cfg.schedule == TrainSchedule(
+        phase1_iters=20000, phase1_lr=1e-8, phase2_iters=10000, phase2_lr=1e-9,
+        mode="end_to_end", seed=0, snapshot_every=0, momentum=0.9, weight_decay=2e-4,
+    )
+    assert cfg.data == DataParams(
+        height=512, width=512, n_cells=80, distractor_rate=1.0,
+        n_train=20, n_test=10, augment=True,
+    )
+    assert cfg.eval == EvalParams()
+
+
+def test_readme_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = set(re.findall(r"^\| `(\w+)\.(\w+)` \|", readme, re.M))
+    assert keys == _KNOWN
 
 
 # ---- precedence ----
@@ -57,33 +79,28 @@ def test_default_profile_is_toy():
 def test_file_overrides_profile(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[network]\nstages = 3\n")
-    cfg = load_run_config(path=ini, env={})
+    cfg = load_run_config(path=ini)
     assert cfg.network.stages == 3
 
 
 def test_override_beats_file(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[network]\nstages = 3\n[run]\nseed = 7\n")
-    cfg = load_run_config(path=ini, overrides=["network.stages=4"], env={})
+    cfg = load_run_config(path=ini, overrides=["network.stages=4"])
     assert cfg.network.stages == 4
     assert cfg.seed == 7
 
 
-def test_env_seed_between_file_and_override(tmp_path):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nseed = 7\n")
-    cfg = load_run_config(path=ini, env={"M2FCN_SEED": "21"})
-    assert cfg.seed == 21
-    cfg = load_run_config(
-        path=ini, env={"M2FCN_SEED": "21"}, overrides=["run.seed=5"]
-    )
-    assert cfg.seed == 5
+def test_environment_does_not_set_the_seed(monkeypatch):
+    monkeypatch.setenv("M2FCN_SEED", "21")
+    assert load_run_config().seed == 0
+    assert load_run_config(overrides=["run.seed=5"]).seed == 5
 
 
 def test_profile_selectable_from_file(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nprofile = paper\n")
-    cfg = load_run_config(path=ini, env={})
+    cfg = load_run_config(path=ini)
     assert cfg.profile == "paper"
     assert cfg.network.stages == 3
 
@@ -93,47 +110,71 @@ def test_profile_selectable_from_file(tmp_path):
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
-        load_run_config(overrides=["network.depth=4"], env={})
+        load_run_config(overrides=["network.depth=4"])
 
 
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigError):
-        load_run_config(profile="huge", env={})
+        load_run_config(profile="huge")
 
 
 def test_type_errors_rejected():
     with pytest.raises(ConfigError):
-        load_run_config(overrides=["run.seed=banana"], env={})
+        load_run_config(overrides=["run.seed=banana"])
     with pytest.raises(ConfigError):
-        load_run_config(overrides=["train.phase1_lr=fast"], env={})
+        load_run_config(overrides=["train.phase1_lr=fast"])
+
+
+def test_non_utf8_config_file_rejected(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(b"[run]\nseed = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_run_config(path=ini)
 
 
 def test_bad_override_shape_rejected():
     with pytest.raises(ConfigError):
-        load_run_config(overrides=["seedless"], env={})
+        load_run_config(overrides=["seedless"])
 
 
 def test_widths_shorter_than_levels_rejected():
     with pytest.raises(ConfigError):
-        load_run_config(overrides=["network.widths=8, 16"], env={})
+        load_run_config(overrides=["network.widths=8, 16"])
 
 
-def test_widths_longer_than_levels_truncated():
-    cfg = load_run_config(
-        overrides=["network.widths=8, 16, 16, 99, 99"], env={}
-    )
-    assert tuple(l.channels for l in cfg.network.subnet.levels) == (8, 16, 16)
+def test_widths_longer_than_convs_rejected():
+    with pytest.raises(ConfigError, match="one entry per level"):
+        load_run_config(overrides=["network.widths=8, 16, 16, 99, 99"])
+
+
+def test_levels_key_removed(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown config key \[network\] levels"):
+        load_run_config(overrides=["network.levels=3"])
+    ini = tmp_path / "run.ini"
+    ini.write_text("[network]\nlevels = 3\n")
+    r = run_cli(["synth", "--config", str(ini), "--out", str(tmp_path / "d")])
+    assert r.returncode == 2
+    assert "unknown config key [network] levels" in r.stderr
+
+
+def test_eval_params_checked_on_construction():
+    with pytest.raises(ValueError):
+        EvalParams(n_thresholds=0)
+    with pytest.raises(ValueError):
+        EvalParams(threshold_lo=0.9, threshold_hi=0.1)
+    with pytest.raises(ConfigError):
+        load_run_config(overrides=["eval.n_thresholds=0"])
 
 
 def test_recursive_single_parsing():
-    cfg = load_run_config(overrides=["network.recursive=single:2"], env={})
+    cfg = load_run_config(overrides=["network.recursive=single:2"])
     assert cfg.network.recursive_level == 2
     with pytest.raises((ConfigError, ValueError)):
-        load_run_config(overrides=["network.recursive=single:9"], env={})
+        load_run_config(overrides=["network.recursive=single:9"])
 
 
 def test_threshold_list():
-    cfg = load_run_config(env={})
+    cfg = load_run_config()
     ts = cfg.eval.thresholds()
     assert len(ts) == 33
     assert abs(ts[0] - 0.02) < 1e-12
@@ -304,6 +345,7 @@ def test_cli_eval_requires_exactly_one_source(workdir, tmp_path):
         ["eval", "--data", str(workdir / "data"), "--out", str(tmp_path / "x")]
     )
     assert r.returncode == 2
+    assert "one of the arguments --model --pred is required" in r.stderr
     r = run_cli(
         [
             "eval",
@@ -318,6 +360,8 @@ def test_cli_eval_requires_exactly_one_source(workdir, tmp_path):
         ]
     )
     assert r.returncode == 2
+    assert "argument --pred: not allowed with argument --model" in r.stderr
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_cli_gradcheck_passes():

@@ -4,11 +4,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m2fcn.data import (
     FLIPS,
     ROTATIONS,
     SCALES,
+    DataError,
     PgmDepthError,
     PgmHeaderError,
     PgmPayloadError,
@@ -392,4 +395,72 @@ def test_dataset_missing_file_reported(tmp_path):
     save_dataset(root, train, test)
     (root / "images" / "001.pgm").unlink()
     with pytest.raises((DataError, FileNotFoundError)):
+        load_dataset(root)
+
+
+# ---- loader fuzz: only DataError may escape, since CLI exit code 2 rests on it ----
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    train, _ = synth_corpus(seed=7, n_train=1, n_test=0, height=32, width=32, n_cells=2)
+    save_dataset(root / "corpus", train, [])
+    return root
+
+
+@pytest.fixture(scope="module")
+def valid_pgms(fuzz_dir):
+    blobs = []
+    for maxval in (255, 65535):
+        path = fuzz_dir / f"valid{maxval}.pgm"
+        save_pgm(path, np.arange(12).reshape(3, 4) * 7, maxval)
+        blobs.append(path.read_bytes())
+    return blobs
+
+
+# Byte flips, a truncation and appended bytes of a valid 8-bit or 16-bit file.
+@given(
+    st.integers(0, 1),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(1, 255)), max_size=4),
+    st.integers(0, 64),
+    st.binary(max_size=16),
+)
+@settings(max_examples=400, deadline=None)
+def test_load_pgm_mutations_raise_only_data_error(fuzz_dir, valid_pgms, which, flips, keep, tail):
+    blob = bytearray(valid_pgms[which])
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    path = fuzz_dir / "case.pgm"
+    path.write_bytes(bytes(blob[:keep]) + tail)
+    try:
+        load_pgm(path)
+    except DataError:
+        pass
+
+
+MANIFEST_LINES = st.sampled_from(["000 train", "000 test", "001 train", "000\x00 train", "é train"])
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(MANIFEST_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode()),
+        st.lists(MANIFEST_LINES, min_size=1, max_size=3).map(lambda ls: "\n".join(ls).encode("utf-16")),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_manifest_bytes_raise_only_data_error(fuzz_dir, manifest):
+    root = fuzz_dir / "corpus"
+    (root / "manifest.txt").write_bytes(manifest)
+    try:
+        load_dataset(root)
+    except DataError:
+        pass
+
+
+def test_load_dataset_manifest_not_utf8(fuzz_dir):
+    root = fuzz_dir / "corpus"
+    (root / "manifest.txt").write_bytes(b"\xff\xfe000 train\n")
+    with pytest.raises(DataError, match="cannot read manifest"):
         load_dataset(root)

@@ -1,0 +1,73 @@
+"""Static checks on the package source: every imported name is used, and
+every ``__all__`` entry names something its module defines."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "m2fcn").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _all_entries(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _imported(tree):
+    """(bound name, line) of every import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree) -> set[str]:
+    used = set(_all_entries(tree))
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    # Quoted annotations are names too.
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_entries_resolve(path):
+    name = "m2fcn" if path.stem == "__init__" else f"m2fcn.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [entry for entry in _all_entries(_tree(path)) if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_checker_flags_an_unused_import():
+    tree = ast.parse("from dataclasses import dataclass, replace\n@dataclass\nclass A: pass\n")
+    assert [n for n, _ in _imported(tree) if n not in _used(tree)] == ["replace"]
