@@ -7,6 +7,10 @@ and routes it back to its parents. The closure never refers to its own output
 tensor, so a graph holds no reference cycle and is freed as soon as its root
 is dropped. ``Tensor.backward`` walks the graph once in reverse topological
 order, accumulating gradients over every path.
+
+Inside ``no_grad`` ops build no graph at all: outputs record no parents and
+carry no closure, so nothing an op keeps for its backward pass outlives it.
+Inference runs there.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "zero_grads",
     "grad_check",
     "record_kinks",
+    "no_grad",
 ]
 
 class Tensor:
@@ -159,10 +164,13 @@ class Tensor:
 
         Zeroes and then fills ``grad`` on every node reachable from the
         root, including the root itself. Raises if the root is not a
-        scalar (one element).
+        scalar (one element) or does not require grad; such a root reaches
+        no parameter, or was built under ``no_grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward from a root that does not require grad")
         order = _toposort(self)
         for node in order:
             node.grad = np.zeros_like(node.data)
@@ -173,8 +181,13 @@ class Tensor:
 
 
 def _result(data, parents: Sequence[Tensor], name: str | None = None) -> Tensor:
-    """Op output inheriting requires_grad; parents recorded only if needed."""
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), name=name)
+    """Op output inheriting requires_grad; parents recorded only if needed.
+
+    Under ``no_grad`` the output never requires grad, so the op that calls
+    this skips its closure.
+    """
+    requires_grad = not _NO_GRAD and any(p.requires_grad for p in parents)
+    out = Tensor(data, requires_grad=requires_grad, name=name)
     if out.requires_grad:
         out._parents = tuple(parents)
     return out
@@ -217,6 +230,30 @@ def gradients(root: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
 def zero_grads(params: Sequence[Tensor]) -> None:
     for p in params:
         p.grad = None
+
+
+_NO_GRAD = False
+
+
+class no_grad:
+    """Context manager under which ops build no differentiation graph.
+
+    Every op output is created with ``requires_grad=False`` and records no
+    parents, so no backward closure, im2col column block or ReLU mask is
+    kept. Values are the same bytes a graph-building forward computes.
+    Parameters keep their own ``requires_grad`` flags. Contexts nest, and the
+    previous state is restored on exit, exceptions included.
+    """
+
+    def __enter__(self) -> None:
+        global _NO_GRAD
+        self._previous = _NO_GRAD
+        _NO_GRAD = True
+
+    def __exit__(self, *exc):
+        global _NO_GRAD
+        _NO_GRAD = self._previous
+        return False
 
 
 # ---- kink tracing for the finite-difference checker ----

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .loss import fuse
 from .ops import concat_channels, sigmoid
 from .subnet import LevelSpec, SubNet, SubNetConfig, parameter_shapes
@@ -167,10 +167,13 @@ class M2FCN:
         return SideOutputs(side, fused)
 
     def predict(self, image: Tensor) -> np.ndarray:
-        """Probability of NOT being boundary, as a plain (H, W) array."""
-        outs = self.forward_all(image)
-        final = outs.fused[self.config.stages]
-        return sigmoid(final).data[0].copy()
+        """Probability of NOT being boundary, as a plain (H, W) array.
+
+        Runs under ``no_grad``: the forward builds no backward graph.
+        """
+        with no_grad():
+            final = self.forward_all(image).fused[self.config.stages]
+            return sigmoid(final).data[0].copy()
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -281,3 +281,24 @@ def flood_segment(prob, threshold):
             if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] == 0:
                 heapq.heappush(heap, (-p[rr, cc], rr, cc))
     return labels
+
+
+# ---- prediction ----
+
+
+def graph_predict(net, x):
+    """The prediction as a graph-building forward gives it.
+
+    Runs ``net.forward_all(x)`` with the backward graph built, then applies
+    the logistic function to the last stage's fused map, written the
+    overflow-free way: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below.
+    """
+    fused = net.forward_all(x).fused[net.config.stages]
+    assert fused.requires_grad, "the oracle forward must build the graph"
+    z = fused.data[0]
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

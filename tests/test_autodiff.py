@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2fcn.autodiff import Tensor, grad_check, gradients, zero_grads
+from m2fcn.autodiff import Tensor, grad_check, gradients, no_grad, zero_grads
 from m2fcn.ops import conv2d, relu
 
 
@@ -62,6 +62,33 @@ def test_zero_grads():
     p.sum().backward()
     zero_grads([p])
     assert p.grad is None
+
+
+def test_backward_from_root_without_grad_raises():
+    # Zero-filling instead would leave every parameter's grad at None, and
+    # SGD.step would then apply weight decay alone.
+    root = Tensor(np.array(1.0))
+    with pytest.raises(ValueError, match="does not require grad"):
+        root.backward()
+    p = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match="does not require grad"):
+        gradients(root, [p])
+
+
+def test_no_grad_builds_no_graph_and_nests():
+    x = Tensor(np.linspace(-1.0, 1.0, 25).reshape(1, 5, 5), requires_grad=True)
+    w = Tensor(np.full((2, 1, 3, 3), 0.1), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            inner = relu(conv2d(x, w))
+        outer = (x * 2.0).sum()
+    for t in (inner, outer):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+    graph = relu(conv2d(x, w))
+    assert graph.requires_grad and graph._backward is not None
+    assert np.array_equal(inner.data, graph.data)
+    assert x.requires_grad and w.requires_grad
 
 
 def test_shape_mismatch_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2fcn.autodiff import Tensor, grad_check
+from m2fcn.autodiff import Tensor, grad_check, no_grad
 from m2fcn.loss import (
     BoundaryLabels,
     balanced_ce_value,
@@ -221,6 +221,16 @@ def test_total_loss_validates_completeness():
     lab = labels_from(rng.random((5, 4)) < 0.5)
     with pytest.raises(ValueError):
         total_loss(outs, lab, cfg)
+
+
+def test_backward_of_loss_built_under_no_grad_raises():
+    cfg = tiny_config(stages=2, levels=2)
+    rng = np.random.default_rng(13)
+    lab = labels_from(rng.random((5, 4)) < 0.5)
+    with no_grad():
+        loss = total_loss(random_outputs(cfg, rng), lab, cfg)
+    with pytest.raises(ValueError, match="does not require grad"):
+        loss.backward()
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,5 +1,8 @@
 """Multi-stage wiring: recursive inputs, fusion, prediction, state."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from m2fcn.autodiff import Tensor
 from m2fcn.network import M2FCN, NetworkConfig, build_network, parse_recursive
 from m2fcn.ops import sigmoid
 from m2fcn.subnet import LevelSpec, SubNetConfig
+from oracles import graph_predict
 
 TOY_SUBNET = SubNetConfig(
     levels=(LevelSpec(2, 8), LevelSpec(2, 16), LevelSpec(2, 16))
@@ -116,6 +120,77 @@ def test_predict_equals_sigmoid_of_final_fused():
     want = sigmoid(outs.fused[2]).data[0]
     got = net.predict(img)
     assert np.array_equal(got, want)
+
+
+# The paper's 3 stages x 5 levels and conv counts, at the benchmark's small widths.
+PAPER_SMALL = NetworkConfig(
+    stages=3,
+    subnet=SubNetConfig(
+        levels=tuple(LevelSpec(c, w) for c, w in zip((2, 2, 3, 3, 3), (2, 2, 4, 4, 4)))
+    ),
+)
+
+
+@pytest.mark.parametrize("config", [toy_config(), toy_config(recursive_level=2), PAPER_SMALL],
+                         ids=["toy-all", "toy-single2", "paper-small"])
+@pytest.mark.parametrize("hw", [(24, 20), (33, 29)])
+def test_predict_bytes_equal_graph_forward(config, hw):
+    # 33x29 is odd at every pooling level, so the replication path runs.
+    net = perturbed(build_network(config, seed=5), seed=5)
+    img = Tensor(np.random.default_rng(6).uniform(0, 1, (1, *hw)))
+    got = net.predict(img)
+    want = graph_predict(net, img)
+    assert got.shape == want.shape == hw
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.min() < got.max()
+
+
+def test_predict_creates_no_graph_nodes(monkeypatch):
+    net = perturbed(build_network(toy_config(), seed=7), seed=7)
+    img = Tensor(np.random.default_rng(8).uniform(0, 1, (1, 16, 16)))
+    created = []
+    init = Tensor.__init__
+
+    def recording_init(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        created.append(obj)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    net.predict(img)
+    monkeypatch.undo()
+    assert len(created) > 20
+    graph_nodes = [t for t in created if t.requires_grad or t._parents or t._backward]
+    assert graph_nodes == []
+
+
+def _traced_peak(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_peak_far_below_graph_forward():
+    # Without closures predict keeps no im2col columns or ReLU masks; at 128^2
+    # its peak is about a fifth of the graph-building forward's.
+    net = perturbed(build_network(toy_config(), seed=9), seed=9)
+    img = Tensor(np.random.default_rng(10).uniform(0, 1, (1, 128, 128)))
+    graph = _traced_peak(lambda: net.forward_all(img))
+    plain = _traced_peak(lambda: net.predict(img))
+    assert plain < 0.3 * graph
+
+
+def test_no_grad_restored_after_predict_raises():
+    net = build_network(toy_config(), seed=0)
+    img = Tensor(np.zeros((1, 8, 8)))
+    img.data[0, 3, 3] = np.nan
+    with pytest.raises(FloatingPointError):
+        net.predict(img)
+    assert net.forward_all(Tensor(np.zeros((1, 8, 8)))).fused[2].requires_grad
 
 
 def test_recursive_feedback_changes_stage2_not_stage1():

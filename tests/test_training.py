@@ -267,6 +267,23 @@ def test_snapshots_written_when_requested(tmp_path):
     assert snaps == ["snapshot_000002.m2f", "snapshot_000004.m2f"]
 
 
+def test_predict_between_train_calls_changes_nothing():
+    data = corpus(2)
+    sched = TrainSchedule(phase1_iters=0, phase2_iters=3, seed=1)
+
+    def run(between):
+        net = build_network(TOY, seed=0)
+        first = train(net, data, sched)
+        between(net)
+        second = train(net, data, sched, log_offset=3)
+        return loss_log_csv(first.log + second.log, TOY.stages)
+
+    plain = run(lambda net: None)
+    with_predict = run(lambda net: net.predict(Tensor(data[0].image)))
+    assert with_predict == plain
+    assert len(plain.splitlines()) == 7
+
+
 def test_loss_log_csv_layout():
     log = [
         {"iteration": 1, "fused1": 1.5, "fused2": 2.5, "total": 10.0},
