@@ -8,6 +8,15 @@ tensor, so a graph holds no reference cycle and is freed as soon as its root
 is dropped. ``Tensor.backward`` walks the graph once in reverse topological
 order, accumulating gradients over every path.
 
+A closure keeps only what its parents cannot give it again: convolution
+rebuilds its im2col columns from its input's ``data``, ReLU reads its own
+output and max pooling keeps its argmax indices. The graph's inputs must
+therefore not change in place between forward and backward; ``SGD.step``
+moves the parameters only after backward has run. Backward allocates an
+interior node's gradient when the first of its consumers runs and drops it
+once the node's own closure has run, so after the sweep only leaves that
+require grad hold a ``grad``.
+
 Inside ``no_grad`` ops build no graph at all: outputs record no parents and
 carry no closure, so nothing an op keeps for its backward pass outlives it.
 Inference runs there.
@@ -34,7 +43,7 @@ class Tensor:
     Leaves are created directly (parameters with ``requires_grad=True``,
     inputs without). Interior nodes are created by ops and inherit
     ``requires_grad`` from their parents. ``backward`` fills ``grad`` for
-    every node that participates in the swept graph.
+    every leaf of the swept graph that requires grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
@@ -162,10 +171,16 @@ class Tensor:
     def backward(self) -> None:
         """Reverse sweep from this scalar root.
 
-        Zeroes and then fills ``grad`` on every node reachable from the
-        root, including the root itself. Raises if the root is not a
-        scalar (one element) or does not require grad; such a root reaches
-        no parameter, or was built under ``no_grad``.
+        Fills ``grad`` afresh on every leaf reachable from the root that
+        requires grad, dropping values from an earlier sweep, so a second
+        sweep of the same graph gives the same gradients. Every other node,
+        the root included, ends with ``grad`` None: an interior gradient is
+        allocated when its first consumer's closure runs and dropped once
+        its own closure has run. Zero-filling and accumulation follow the
+        order of a sweep that zeroes every node up front, so the gradients
+        are the same bytes. Raises if the root is not a scalar (one
+        element) or does not require grad; such a root reaches no
+        parameter, or was built under ``no_grad``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.shape}")
@@ -173,11 +188,16 @@ class Tensor:
             raise ValueError("backward from a root that does not require grad")
         order = _toposort(self)
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            for parent in node._parents:
+                if parent.requires_grad and parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+            node._backward(node.grad)
+            node.grad = None
 
 
 def _result(data, parents: Sequence[Tensor], name: str | None = None) -> Tensor:
@@ -239,8 +259,9 @@ class no_grad:
     """Context manager under which ops build no differentiation graph.
 
     Every op output is created with ``requires_grad=False`` and records no
-    parents, so no backward closure, im2col column block or ReLU mask is
-    kept. Values are the same bytes a graph-building forward computes.
+    parents, so no backward closure is built and nothing but the caller
+    keeps an op's output alive. Values are the same bytes a graph-building
+    forward computes.
     Parameters keep their own ``requires_grad`` flags. Contexts nest, and the
     previous state is restored on exit, exceptions included.
     """

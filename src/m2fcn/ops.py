@@ -40,11 +40,30 @@ class ConvParams:
         return conv2d(x, self.weight, self.bias)
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Column block (C*kh*kw, H*W) of a CxHxW map under "same" zero padding.
+
+    A 1x1 kernel needs no padding or copy: the block is a view of ``x``.
+    """
+    cx, h, w = x.shape
+    if kh == kw == 1:
+        return x.reshape(cx, h * w)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((cx, kh, kw, h, w))
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = xp[:, ki : ki + h, kj : kj + w]
+    return cols.reshape(cx * kh * kw, h * w)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlate a CxHxW map with OxCxkHxkW filters.
 
     Stride 1 with "same" zero padding of (k - 1) // 2, so kernels must be
-    odd and the output keeps the input's height and width.
+    odd and the output keeps the input's height and width. The backward
+    closure keeps no column block: it rebuilds the columns from ``x.data``,
+    so ``x`` must not change in place between forward and backward.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d input must be CxHxW, got shape {x.shape}")
@@ -60,16 +79,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError("same padding needs odd kernels")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = np.empty((cx, kh, kw, h, w))
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xp[:, ki : ki + h, kj : kj + w]
-    cols2 = cols.reshape(cx * kh * kw, h * w)
     wmat = weight.data.reshape(o, cx * kh * kw)
-    out = wmat @ cols2
+    out = wmat @ _im2col(x.data, kh, kw)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out = out.reshape(o, h, w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -79,7 +92,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         def _bw(grad):
             g = grad.reshape(o, h * w)
             if weight.requires_grad:
-                weight.grad += (g @ cols2.T).reshape(weight.shape)
+                weight.grad += (g @ _im2col(x.data, kh, kw).T).reshape(weight.shape)
             if bias is not None and bias.requires_grad:
                 bias.grad += g.sum(axis=1)
             if x.requires_grad:
@@ -116,7 +129,7 @@ def maxpool2(x: Tensor) -> Tensor:
     if res.requires_grad:
 
         def _bw(grad):
-            dwin = np.zeros_like(windows)
+            dwin = np.zeros((c, h2, w2, 4))
             np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
             dxp = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, hp, wp)
             dx = dxp[:, :h, :w].copy()
@@ -218,12 +231,12 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     trace_relu(x.data)
-    res = _result(np.maximum(x.data, 0.0), (x,))
+    y = np.maximum(x.data, 0.0)
+    res = _result(y, (x,))
     if res.requires_grad:
-        mask = x.data > 0.0
 
         def _bw(grad):
-            x.grad += grad * mask
+            x.grad += grad * (y > 0.0)
 
         res._backward = _bw
     return res

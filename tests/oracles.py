@@ -302,3 +302,34 @@ def graph_predict(net, x):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---- reverse sweep ----
+
+
+def eager_backward(root):
+    """The reverse sweep that zero-fills every node before any closure runs.
+
+    Orders the graph by the package's postorder (an explicit stack that
+    expands a node's parents last to first), so each gradient accumulates
+    its contributions in the same order. Every node, interior, leaf, frozen
+    or input, gets a zero gradient; the root's is set to one, and each
+    node's ``_backward`` closure runs in reverse order. Every ``grad`` stays
+    in place afterwards.
+    """
+    order, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)

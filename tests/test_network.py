@@ -174,14 +174,18 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_predict_peak_far_below_graph_forward():
-    # Without closures predict keeps no im2col columns or ReLU masks; at 128^2
-    # its peak is about a fifth of the graph-building forward's.
-    net = perturbed(build_network(toy_config(), seed=9), seed=9)
+def test_predict_peak_does_not_grow_with_depth():
+    # Without a graph, each stage's feature maps are freed once its side
+    # outputs exist, so predict's peak stays flat as stages are added; a
+    # graph-building forward keeps every stage's feature maps.
     img = Tensor(np.random.default_rng(10).uniform(0, 1, (1, 128, 128)))
-    graph = _traced_peak(lambda: net.forward_all(img))
-    plain = _traced_peak(lambda: net.predict(img))
-    assert plain < 0.3 * graph
+    plain, graph = [], []
+    for stages in (2, 4):
+        net = perturbed(build_network(NetworkConfig(stages=stages, subnet=TOY_SUBNET), seed=9), seed=9)
+        plain.append(_traced_peak(lambda: net.predict(img)))
+        graph.append(_traced_peak(lambda: net.forward_all(img)))
+    assert plain[1] < 1.2 * plain[0]
+    assert graph[1] > 1.5 * graph[0]
 
 
 def test_no_grad_restored_after_predict_raises():
