@@ -408,6 +408,8 @@ def synth_corpus(
     n_cells: int = 8,
     distractor_rate: float = 1.0,
 ) -> tuple[list[Sample], list[Sample]]:
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"sample counts must be nonnegative, got n_train={n_train}, n_test={n_test}")
     image_seeds = np.random.SeedSequence(seed).generate_state(n_train + n_test)
     samples = [
         synth_generate(int(s), height, width, n_cells, distractor_rate)

@@ -1,19 +1,18 @@
 """Class-balanced cross-entropy over side outputs and fused outputs.
 
-Boundary pixels are the sigmoid(s) -> 0 class: the per-map loss is
+Boundary pixels are the sigmoid(s) -> 0 class: the loss of one logit map is
 
     beta * sum_boundary -log(1 - sigmoid(s)) +
     (1 - beta) * sum_background -log(sigmoid(s))
 
 summed (not averaged) over pixels. beta is computed once per image from the
-label counts and shared by every term of the total objective.
+label counts. The total objective is one ``side_loss`` over the stack of
+every side and fused map, so all terms share one pair of weight rasters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -68,33 +67,30 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def balanced_ce_value(logits_data: np.ndarray, labels: BoundaryLabels, beta: float) -> float:
-    """Plain-number version of side_loss for logging and oracles."""
-    s = logits_data.reshape(labels.mask.shape)
-    m = labels.mask
-    return float(
-        np.sum(beta * m * _softplus(s) + (1.0 - beta) * ~m * _softplus(-s))
-    )
+    """Plain-number side_loss of one logit map, for logging and oracles."""
+    return side_loss(Tensor(logits_data.reshape((1,) + labels.mask.shape)), labels, beta).item()
 
 
 def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
-    """Summed class-weighted logistic loss of one 1xHxW logit map."""
-    if logits.shape != (1,) + labels.mask.shape:
-        raise ValueError(
-            f"logits shape {logits.shape} does not match labels {labels.mask.shape}"
-        )
+    """Summed class-weighted logistic loss of a KxHxW stack of logit maps.
+
+    One pair of weight rasters serves all K maps, which are scored one at a
+    time, summed in stack order, and filled into ``logits.grad`` row by row.
+    """
+    if logits.data.ndim != 3 or logits.shape[0] == 0 or logits.shape[1:] != labels.mask.shape:
+        raise ValueError(f"logits {logits.shape} are not a KxHxW stack over {labels.mask.shape}")
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    s = logits.data[0]
-    m = labels.mask
-    w_boundary = beta * m
-    w_background = (1.0 - beta) * ~m
-    value = np.sum(w_boundary * _softplus(s) + w_background * _softplus(-s))
+    w_boundary = beta * labels.mask
+    w_background = (1.0 - beta) * ~labels.mask
+    value = sum(np.sum(w_boundary * _softplus(s) + w_background * _softplus(-s)) for s in logits.data)
     res = _result(np.asarray(value), (logits,))
     if res.requires_grad:
 
         def _bw(grad):
-            ds = w_boundary * _sigmoid(s) - w_background * _sigmoid(-s)
-            logits.grad += (grad * ds)[None]
+            for k, s in enumerate(logits.data):
+                ds = w_boundary * _sigmoid(s) - w_background * _sigmoid(-s)
+                logits.grad[k] += grad * ds
 
         res._backward = _bw
     return res
@@ -119,7 +115,8 @@ def total_loss(outs, labels: BoundaryLabels, config) -> Tensor:
     """Sum of every side loss and every fused loss, all weighted equally.
 
     ``outs`` is a SideOutputs bundle; ``config`` supplies the stage and level
-    counts. beta is computed once and shared by all terms.
+    counts. One side_loss scores the stack of side maps in (stage, level)
+    order followed by the fused maps in stage order.
     """
     stages = config.stages
     n_side = len(config.subnet.levels)
@@ -128,11 +125,6 @@ def total_loss(outs, labels: BoundaryLabels, config) -> Tensor:
             f"incomplete outputs: {len(outs.side)} side and {len(outs.fused)} fused "
             f"maps for {stages} stages of {n_side} levels"
         )
-    beta = class_balance_beta(labels)
-    terms = []
-    for m in range(1, stages + 1):
-        for n in range(1, n_side + 1):
-            terms.append(side_loss(outs.side[(m, n)], labels, beta))
-    for m in range(1, stages + 1):
-        terms.append(side_loss(outs.fused[m], labels, beta))
-    return reduce(add, terms)
+    maps = [outs.side[(m, n)] for m in range(1, stages + 1) for n in range(1, n_side + 1)]
+    maps += [outs.fused[m] for m in range(1, stages + 1)]
+    return side_loss(concat_channels(maps), labels, class_balance_beta(labels))

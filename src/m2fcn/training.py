@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, zero_grads
+from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .loss import BoundaryLabels, balanced_ce_value, class_balance_beta, total_loss
 from .network import M2FCN, NetworkConfig, build_network, initial_values
@@ -89,6 +89,8 @@ class TrainSchedule:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.phase1_iters < 0 or self.phase2_iters < 0:
             raise ValueError("iteration counts must be nonnegative")
+        if self.snapshot_every < 0:
+            raise ValueError("train.snapshot_every must be nonnegative")
 
 
 @dataclass
@@ -121,8 +123,6 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
     opt = SGD(net.parameters(), lr, schedule.momentum, schedule.weight_decay)
     order_rng = np.random.default_rng(schedule.seed)
     order: list[int] = []
-    params = net.parameters()
-    trainable = [p for p in params.values() if p.requires_grad]
     log: list[dict] = []
     best_loss = np.inf
     best_state = None
@@ -144,7 +144,6 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
                 # was just logged.
                 best_loss = record["total"]
                 best_state = net.state()
-            zero_grads(trainable)
             loss.backward()
             opt.step()
             # Free this iteration's graph before the next forward builds one.

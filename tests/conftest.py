@@ -1,8 +1,14 @@
-"""Shared pytest wiring: the package path for child processes, and a visible
-summary block for the acceptance criteria."""
+"""Shared pytest wiring: one BLAS thread, the package path for child
+processes, and a visible summary block for the acceptance criteria."""
 
 import os
 from pathlib import Path
+
+# One BLAS thread for this process and its CLI children, set before numpy
+# loads: a second thread spends CPU on the suite's small matrices without
+# shortening the wall time. An explicit setting in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 # pyproject's ``pythonpath`` reaches this process only; the CLI tests start
 # ``python -m m2fcn.cli`` children, which find the checkout through this.

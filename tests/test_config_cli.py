@@ -166,6 +166,13 @@ def test_eval_params_checked_on_construction():
         load_run_config(overrides=["eval.n_thresholds=0"])
 
 
+def test_negative_snapshot_every_rejected():
+    with pytest.raises(ValueError, match="snapshot_every"):
+        TrainSchedule(snapshot_every=-3)
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        load_run_config(overrides=["train.snapshot_every=-3"])
+
+
 def test_recursive_single_parsing():
     cfg = load_run_config(overrides=["network.recursive=single:2"])
     assert cfg.network.recursive_level == 2
@@ -385,6 +392,16 @@ def test_cli_exit_code_usage_errors(tmp_path):
     assert r.returncode == 2
     r = run_cli(["frobnicate"])
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("counts", [("-1", "3"), ("2", "-1")])
+def test_cli_synth_negative_counts_exit_2(tmp_path, counts):
+    out = tmp_path / "d"
+    sets = [f"data.n_train={counts[0]}", f"data.n_test={counts[1]}"]
+    r = run_cli(["synth", "--out", str(out), "--set", sets[0], "--set", sets[1]])
+    assert r.returncode == 2
+    assert "nonnegative" in r.stderr
+    assert not (out / "manifest.txt").exists()
 
 
 def test_cli_missing_inputs_exit_2(workdir, tmp_path):

@@ -333,6 +333,13 @@ def test_synth_corpus_split_sizes_and_disjoint_seeds():
     assert len(set(imgs)) == 5
 
 
+@pytest.mark.parametrize("n_train, n_test", [(-1, 3), (2, -1)])
+def test_synth_corpus_rejects_negative_counts(n_train, n_test):
+    # A negative count used to slice from the wrong end and write a short split.
+    with pytest.raises(ValueError, match="nonnegative"):
+        synth_corpus(seed=0, n_train=n_train, n_test=n_test, height=32, width=32, n_cells=2)
+
+
 def test_synth_corpus_deterministic():
     a = synth_corpus(seed=4, n_train=2, n_test=1, height=48, width=48, n_cells=5)
     b = synth_corpus(seed=4, n_train=2, n_test=1, height=48, width=48, n_cells=5)

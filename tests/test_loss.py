@@ -127,8 +127,28 @@ def test_side_loss_gradient():
 
 def test_side_loss_shape_guard():
     lab = labels_from(np.zeros((3, 3), dtype=bool))
-    with pytest.raises(ValueError):
-        side_loss(Tensor(np.zeros((1, 2, 3))), lab, 0.5)
+    for shape in [(1, 2, 3), (4, 2, 3), (4, 3, 2), (0, 3, 3), (3, 3), (1, 1, 3, 3)]:
+        with pytest.raises(ValueError):
+            side_loss(Tensor(np.zeros(shape)), lab, 0.5)
+    assert side_loss(Tensor(np.zeros((4, 3, 3))), lab, 0.5).item() > 0.0
+
+
+def test_side_loss_of_a_stack_adds_its_maps_in_order():
+    rng = np.random.default_rng(3)
+    mask = rng.random((5, 7)) < 0.4
+    lab = labels_from(mask)
+    beta = class_balance_beta(lab)
+    stack = Tensor(rng.normal(scale=3.0, size=(5, 5, 7)), requires_grad=True)
+    loss = side_loss(stack, lab, beta)
+    want = balanced_ce_value(stack.data[0], lab, beta)
+    for k in range(1, 5):
+        want = want + balanced_ce_value(stack.data[k], lab, beta)
+    assert loss.item() == want
+    loss.backward()
+    for k in range(5):
+        one = Tensor(stack.data[k : k + 1], requires_grad=True)
+        side_loss(one, lab, beta).backward()
+        assert stack.grad[k].tobytes() == one.grad[0].tobytes()
 
 
 # ---- fuse ----

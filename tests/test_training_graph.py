@@ -3,8 +3,13 @@
 Conv closures rebuild their columns in backward and ``Tensor.backward``
 allocates each interior gradient only while it is needed. The gradients must
 still be the bytes of the sweep that zero-fills every node up front
-(``oracles.eager_backward``), and the graph must stay re-usable.
+(``oracles.eager_backward``), and the graph must stay re-usable. The
+objective is one ``side_loss`` over the stack of every map; its value and
+gradients must be the bytes of one ``side_loss`` node per map chained by adds.
 """
+
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2fcn.autodiff import Tensor, _toposort
-from m2fcn.loss import BoundaryLabels, total_loss
+from m2fcn.loss import BoundaryLabels, class_balance_beta, side_loss, total_loss
 from m2fcn.network import M2FCN, NetworkConfig, build_network
 from m2fcn.ops import conv2d
 from m2fcn.training import freeze_stage
@@ -28,16 +33,28 @@ CONFIGS = {
 }
 
 
-def training_graph(name: str, seed: int, hw: tuple[int, int]):
-    """(network, input image, loss root) of one training iteration's graph."""
+def training_graph(name: str, seed: int, hw: tuple[int, int], boundary=0.3, objective=total_loss):
+    """(network, input image, loss root) of one training iteration's graph.
+
+    ``boundary`` is the share of boundary pixels drawn: 0 and 1 give the
+    degenerate masks.
+    """
     net = perturbed(build_network(CONFIGS[name], seed=seed), seed=seed)
     rng = np.random.default_rng(seed + 1)
     if name == "toy-stepwise":
         freeze_stage(net, 1)
     image = Tensor(rng.uniform(0.0, 1.0, (1, *hw)))
-    labels = BoundaryLabels.from_mask(rng.random(hw) < 0.3)
-    root = total_loss(net.forward_all(image), labels, net.config)
+    labels = BoundaryLabels.from_mask(rng.random(hw) < boundary)
+    root = objective(net.forward_all(image), labels, net.config)
     return net, image, root
+
+
+def per_map_objective(outs, labels, config):
+    """The objective as one side_loss node per map, summed by a chain of adds."""
+    beta = class_balance_beta(labels)
+    stages, levels = range(1, config.stages + 1), range(1, len(config.subnet.levels) + 1)
+    maps = [outs.side[(m, n)] for m in stages for n in levels] + [outs.fused[m] for m in stages]
+    return reduce(add, [side_loss(t, labels, beta) for t in maps])
 
 
 def trainable(net: M2FCN) -> dict[str, Tensor]:
@@ -56,6 +73,33 @@ def test_parameter_gradients_equal_eager_sweep_bytes(name, seed, hw):
     assert want.keys() == got.keys() and len(got) > 0
     for k in want:
         assert got[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.parametrize("boundary", [0.3, 0.0, 1.0], ids=["mixed", "no-boundary", "all-boundary"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@given(seed=st.integers(0, 2**16), hw=st.sampled_from([(16, 16), (24, 20), (33, 29), (17, 9)]))
+@settings(max_examples=6, deadline=None)
+def test_stacked_objective_equals_per_map_sum_bytes(name, seed, hw, boundary):
+    reference, _, want_root = training_graph(name, seed, hw, boundary, per_map_objective)
+    want_root.backward()
+    want = {k: p.grad for k, p in trainable(reference).items()}
+    net, _, root = training_graph(name, seed, hw, boundary)
+    assert root.data.tobytes() == want_root.data.tobytes()
+    root.backward()
+    got = {k: p.grad for k, p in trainable(net).items()}
+    assert want.keys() == got.keys() and len(got) > 0
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_toy_objective_is_one_side_loss_node():
+    _, _, root = training_graph("toy-all", 5, (128, 128))
+    nodes = _toposort(root)
+    assert len(nodes) == 91
+    assert [n for n in nodes if n._parents and n.size == 1] == [root]
+    assert [n for n in nodes if n._backward and "side_loss" in n._backward.__qualname__] == [root]
+    # One pair of HxW class-weight rasters; the stacked maps are the graph's own.
+    assert load_tracing().closure_bytes(root._backward) <= 2 * 128 * 128 * 8
 
 
 def test_conv_closure_keeps_nothing_beyond_its_tensors():
