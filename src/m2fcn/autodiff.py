@@ -12,10 +12,15 @@ A closure keeps only what its parents cannot give it again: convolution
 rebuilds its im2col columns from its input's ``data``, ReLU reads its own
 output and max pooling keeps its argmax indices. The graph's inputs must
 therefore not change in place between forward and backward; ``SGD.step``
-moves the parameters only after backward has run. Backward allocates an
-interior node's gradient when the first of its consumers runs and drops it
-once the node's own closure has run, so after the sweep only leaves that
-require grad hold a ``grad``.
+moves the parameters only after backward has run.
+
+No gradient is zero-filled. Every closure hands its contributions to
+``_accumulate``: the first that reaches a node in a sweep becomes its
+gradient plus 0.0, and later ones are added in place. Adding 0.0 maps -0.0
+to +0.0 exactly as adding to zeros would, so gradients are the bytes of a
+sweep that zero-fills every node first. An interior gradient is dropped once
+the node's own closure has run, so after the sweep only leaves that require
+grad hold a ``grad``.
 
 Inside ``no_grad`` ops build no graph at all: outputs record no parents and
 carry no closure, so nothing an op keeps for its backward pass outlives it.
@@ -92,9 +97,9 @@ class Tensor:
 
                 def _bw(grad):
                     if self.requires_grad:
-                        self.grad += grad
+                        _accumulate(self, grad)
                     if other.requires_grad:
-                        other.grad += grad
+                        _accumulate(other, grad)
 
                 out._backward = _bw
             return out
@@ -103,7 +108,7 @@ class Tensor:
         if out.requires_grad:
 
             def _bw(grad):
-                self.grad += grad
+                _accumulate(self, grad)
 
             out._backward = _bw
         return out
@@ -119,9 +124,9 @@ class Tensor:
 
                 def _bw(grad):
                     if self.requires_grad:
-                        self.grad += grad * other.data
+                        _accumulate(self, grad * other.data, owned=True)
                     if other.requires_grad:
-                        other.grad += grad * self.data
+                        _accumulate(other, grad * self.data, owned=True)
 
                 out._backward = _bw
             return out
@@ -130,7 +135,7 @@ class Tensor:
         if out.requires_grad:
 
             def _bw(grad):
-                self.grad += grad * c
+                _accumulate(self, grad * c, owned=True)
 
             out._backward = _bw
         return out
@@ -153,7 +158,7 @@ class Tensor:
         if out.requires_grad:
 
             def _bw(grad):
-                self.grad += grad  # scalar broadcast
+                _accumulate(self, grad)  # scalar broadcast
 
             out._backward = _bw
         return out
@@ -163,7 +168,7 @@ class Tensor:
         if out.requires_grad:
 
             def _bw(grad):
-                self.grad += grad.reshape(self.data.shape)
+                _accumulate(self, grad.reshape(self.data.shape))
 
             out._backward = _bw
         return out
@@ -175,10 +180,11 @@ class Tensor:
         requires grad, dropping values from an earlier sweep, so a second
         sweep of the same graph gives the same gradients. Every other node,
         the root included, ends with ``grad`` None: an interior gradient is
-        allocated when its first consumer's closure runs and dropped once
-        its own closure has run. Zero-filling and accumulation follow the
-        order of a sweep that zeroes every node up front, so the gradients
-        are the same bytes. Raises if the root is not a scalar (one
+        stored from its first consumer's contribution (``_accumulate``,
+        no zero-fill) and dropped once its own closure has run.
+        Contributions arrive in the order of a sweep that zeroes every node
+        up front, and the first is stored plus 0.0, so the gradients are
+        the same bytes. Raises if the root is not a scalar (one
         element) or does not require grad; such a root reaches no
         parameter, or was built under ``no_grad``.
         """
@@ -193,11 +199,26 @@ class Tensor:
         for node in reversed(order):
             if node._backward is None:
                 continue
-            for parent in node._parents:
-                if parent.requires_grad and parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
             node._backward(node.grad)
             node.grad = None
+
+
+def _accumulate(node: Tensor, value: np.ndarray, owned: bool = False) -> None:
+    """Add one closure's gradient contribution to ``node.grad``.
+
+    The first contribution of a sweep is stored as ``value + 0.0``: in place
+    when the caller ``owned`` a fresh array of the node's shape that nothing
+    else refers to, on a new array otherwise (``value`` may be a view of
+    another node's gradient, or a scalar that broadcasts). Later
+    contributions are added in place.
+    """
+    if node.grad is not None:
+        node.grad += value
+    elif owned:
+        value += 0.0
+        node.grad = value
+    else:
+        node.grad = np.add(value, 0.0, out=np.empty_like(node.data))
 
 
 def _result(data, parents: Sequence[Tensor], name: str | None = None) -> Tensor:
@@ -371,6 +392,10 @@ def grad_check(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if max_entries_per_param is not None and max_entries_per_param < 1:
+        raise ValueError(
+            f"max_entries_per_param must be at least 1, got {max_entries_per_param}"
+        )
     plist = list(params.values()) if hasattr(params, "values") else list(params)
     # Frozen tensors (requires_grad=False) have no analytic gradient by
     # construction, so a finite-difference comparison is meaningless there.

@@ -171,6 +171,8 @@ def _op_suites(rng, eps, max_entries, seed):
 def cmd_gradcheck(args) -> int:
     # Per-op audits plus a small two-stage network that exercises recursion,
     # pooling, upsampling, and the fused loss in one graph.
+    if not args.tolerance >= 0.0:
+        raise ValueError(f"--tolerance must be nonnegative, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for name, err in _op_suites(rng, args.eps, args.max_entries, args.seed):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _result
+from .autodiff import Tensor, _accumulate, _result
 from .ops import _sigmoid, concat_channels, conv2d
 
 __all__ = [
@@ -75,7 +75,7 @@ def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
     """Summed class-weighted logistic loss of a KxHxW stack of logit maps.
 
     One pair of weight rasters serves all K maps, which are scored one at a
-    time, summed in stack order, and filled into ``logits.grad`` row by row.
+    time and summed in stack order; backward forms their gradients row by row.
     """
     if logits.data.ndim != 3 or logits.shape[0] == 0 or logits.shape[1:] != labels.mask.shape:
         raise ValueError(f"logits {logits.shape} are not a KxHxW stack over {labels.mask.shape}")
@@ -88,9 +88,11 @@ def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
     if res.requires_grad:
 
         def _bw(grad):
+            dlogits = np.empty_like(logits.data)
             for k, s in enumerate(logits.data):
                 ds = w_boundary * _sigmoid(s) - w_background * _sigmoid(-s)
-                logits.grad[k] += grad * ds
+                np.multiply(grad, ds, out=dlogits[k])
+            _accumulate(logits, dlogits, owned=True)
 
         res._backward = _bw
     return res

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _result, trace_pool_windows, trace_relu
+from .autodiff import Tensor, _accumulate, _result, trace_pool_windows, trace_relu
 
 __all__ = [
     "ConvParams",
@@ -92,16 +92,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         def _bw(grad):
             g = grad.reshape(o, h * w)
             if weight.requires_grad:
-                weight.grad += (g @ _im2col(x.data, kh, kw).T).reshape(weight.shape)
+                _accumulate(weight, (g @ _im2col(x.data, kh, kw).T).reshape(weight.shape), owned=True)
             if bias is not None and bias.requires_grad:
-                bias.grad += g.sum(axis=1)
+                _accumulate(bias, g.sum(axis=1), owned=True)
             if x.requires_grad:
                 dcols = (wmat.T @ g).reshape(cx, kh, kw, h, w)
                 dxp = np.zeros((cx, h + 2 * ph, w + 2 * pw))
                 for ki in range(kh):
                     for kj in range(kw):
                         dxp[:, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
-                x.grad += dxp[:, ph : ph + h, pw : pw + w]
+                # A padded block is copied rather than kept, so the stored
+                # gradient is contiguous and holds no border.
+                _accumulate(x, dxp[:, ph : ph + h, pw : pw + w], owned=ph == pw == 0)
 
         res._backward = _bw
     return res
@@ -140,7 +142,7 @@ def maxpool2(x: Tensor) -> Tensor:
                 dx[:, :, w - 1] += dxp[:, :h, w]
             if ph and pw:
                 dx[:, h - 1, w - 1] += dxp[:, h, w]
-            x.grad += dx
+            _accumulate(x, dx, owned=True)
 
         res._backward = _bw
     return res
@@ -197,7 +199,7 @@ def upsample(x: Tensor, factor: int, out_hw: tuple[int, int] | None = None) -> T
                     dx += wd[ki, kj] * gfull[
                         :, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor
                     ]
-            x.grad += dx
+            _accumulate(x, dx, owned=True)
 
         res._backward = _bw
     return res
@@ -222,7 +224,7 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
             for p in parts:
                 n = p.shape[0]
                 if p.requires_grad:
-                    p.grad += grad[offset : offset + n]
+                    _accumulate(p, grad[offset : offset + n])
                 offset += n
 
         res._backward = _bw
@@ -236,18 +238,22 @@ def relu(x: Tensor) -> Tensor:
     if res.requires_grad:
 
         def _bw(grad):
-            x.grad += grad * (y > 0.0)
+            _accumulate(x, grad * (y > 0.0), owned=True)
 
         res._backward = _bw
     return res
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Overflow-free logistic: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below.
+
+    Both branches share e = exp(-|z|), which is e^-z or e^z on its side, so
+    each element gets the exponent and the one division its branch needs.
+    """
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -257,7 +263,7 @@ def sigmoid(x: Tensor) -> Tensor:
     if res.requires_grad:
 
         def _bw(grad):
-            x.grad += grad * y * (1.0 - y)
+            _accumulate(x, grad * y * (1.0 - y), owned=True)
 
         res._backward = _bw
     return res

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,22 +33,43 @@ __all__ = [
 ]
 
 
+def _check_rates(prefix: str, lrs: dict[str, float], momentum: float, weight_decay: float) -> None:
+    """Raise ValueError unless the SGD settings can give finite updates.
+
+    Every learning rate must be finite and positive, momentum in [0, 1) and
+    weight decay finite and nonnegative; NaN fails every one of these.
+    """
+    for name, lr in lrs.items():
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"{prefix}{name} must be finite and positive, got {lr!r}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"{prefix}momentum must be in [0, 1), got {momentum!r}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"{prefix}weight_decay must be finite and nonnegative, got {weight_decay!r}")
+
+
+# Elements per slice of the SGD update. Each slice of a parameter, its
+# gradient and its velocity passes through the six operations of the update
+# while it is still in cache; a whole-tensor update streams every operand
+# from memory once per operation.
+_STEP_CHUNK = 1 << 14
+
+
 class SGD:
     """v <- momentum * v - lr * (grad + weight_decay * p); p <- p + v.
 
     Parameters with requires_grad False are never touched. A parameter the
     last backward never reached contributes a zero gradient (decay and
-    momentum still apply).
+    momentum still apply). A tensor longer than ``_STEP_CHUNK`` elements is
+    updated in place, slice by slice through one scratch buffer, with the
+    roundings of the expression above in its order; a shorter one takes the
+    expression as written. Either way the step allocates nothing
+    parameter-sized.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
                  weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        _check_rates("", {"lr": lr}, momentum, weight_decay)
         self.params = params
         self.lr = lr
         self.momentum = momentum
@@ -57,6 +79,9 @@ class SGD:
             for name, p in params.items()
             if p.requires_grad
         }
+        # Only tensors longer than one slice pass through the scratch buffer.
+        big = any(v.size > _STEP_CHUNK for v in self.velocity.values())
+        self._scratch = np.empty(_STEP_CHUNK) if big else None
 
     def step(self) -> None:
         """One update; a non-finite gradient raises before any parameter moves."""
@@ -64,12 +89,29 @@ class SGD:
         for name, p in live:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"non-finite gradient for {name}")
+        lr, momentum, decay = self.lr, self.momentum, self.weight_decay
         for name, p in live:
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
             v = self.velocity[name]
-            v *= self.momentum
-            v -= self.lr * (g + self.weight_decay * p.data)
-            p.data += v
+            if p.data.size <= _STEP_CHUNK:
+                # A tensor that fits in one slice takes the expression as
+                # written: its temporaries are small, and slicing would cost
+                # more calls than it saves.
+                v *= momentum
+                v -= lr * ((0.0 if p.grad is None else p.grad) + decay * p.data)
+                p.data += v
+                continue
+            pf, vf = p.data.reshape(-1), v.reshape(-1)
+            gf = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, pf.size, _STEP_CHUNK):
+                hi = lo + _STEP_CHUNK
+                ps, vs = pf[lo:hi], vf[lo:hi]
+                t = self._scratch[: ps.size]
+                np.multiply(ps, decay, out=t)
+                np.add(0.0 if gf is None else gf[lo:hi], t, out=t)
+                t *= lr
+                vs *= momentum
+                vs -= t
+                ps += vs
 
 
 @dataclass(frozen=True)
@@ -91,6 +133,8 @@ class TrainSchedule:
             raise ValueError("iteration counts must be nonnegative")
         if self.snapshot_every < 0:
             raise ValueError("train.snapshot_every must be nonnegative")
+        _check_rates("train.", {"phase1_lr": self.phase1_lr, "phase2_lr": self.phase2_lr},
+                     self.momentum, self.weight_decay)
 
 
 @dataclass
@@ -120,7 +164,8 @@ def _prepare(data) -> list[tuple[Tensor, BoundaryLabels]]:
 def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
     """Shared inner loop; returns (log, aborted)."""
     cfg = net.config
-    opt = SGD(net.parameters(), lr, schedule.momentum, schedule.weight_decay)
+    params = net.parameters()
+    opt = SGD(params, lr, schedule.momentum, schedule.weight_decay)
     order_rng = np.random.default_rng(schedule.seed)
     order: list[int] = []
     log: list[dict] = []
@@ -141,9 +186,14 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             log.append(record)
             if record["total"] < best_loss:
                 # Taken before the step: these are the parameters whose loss
-                # was just logged.
+                # was just logged. Later snapshots overwrite the first one's
+                # arrays, so only one parameter-sized copy is ever kept.
                 best_loss = record["total"]
-                best_state = net.state()
+                if best_state is None:
+                    best_state = net.state()
+                else:
+                    for name, p in params.items():
+                        np.copyto(best_state[name], p.data)
             loss.backward()
             opt.step()
             # Free this iteration's graph before the next forward builds one.

@@ -290,12 +290,19 @@ def graph_predict(net, x):
     """The prediction as a graph-building forward gives it.
 
     Runs ``net.forward_all(x)`` with the backward graph built, then applies
-    the logistic function to the last stage's fused map, written the
-    overflow-free way: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below.
+    ``sigmoid_masked`` to the last stage's fused map.
     """
     fused = net.forward_all(x).fused[net.config.stages]
     assert fused.requires_grad, "the oracle forward must build the graph"
-    z = fused.data[0]
+    return sigmoid_masked(fused.data[0])
+
+
+def sigmoid_masked(z):
+    """Logistic function split by a boolean mask into its two overflow-free forms.
+
+    1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) below, each half
+    computed on its own gathered elements.
+    """
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -333,3 +340,24 @@ def eager_backward(root):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+# ---- optimizer ----
+
+
+def sgd_step(params, velocity, lr, momentum, weight_decay):
+    """One momentum SGD update as one whole-tensor expression per parameter.
+
+    v <- momentum * v, then v <- v - lr * (g + weight_decay * p) and
+    p <- p + v. A parameter without a gradient uses zeros; one that does
+    not require grad is skipped. Updates ``params`` and ``velocity`` in
+    place.
+    """
+    for name, p in params.items():
+        if not p.requires_grad:
+            continue
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        v = velocity[name]
+        v *= momentum
+        v -= lr * (g + weight_decay * p.data)
+        p.data += v

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from m2fcn.autodiff import Tensor, grad_check, gradients, no_grad, zero_grads
 from m2fcn.ops import conv2d, relu
+from oracles import eager_backward
 
 
 def test_linear_gradient():
@@ -194,6 +195,26 @@ def test_grad_check_accepts_mapping_and_subsamples():
         lambda: (p * p).sum(), {"p": p}, max_entries_per_param=5, seed=3
     )
     assert err <= 1e-7
+
+
+def test_first_contribution_stores_positive_zero():
+    # ReLU hands its input -1 * False = -0.0 where it is off. A sweep that
+    # zero-fills first stores 0.0 + -0.0 = +0.0 there, and so must this one.
+    x = Tensor(np.array([-1.0, 2.0, 0.0]), requires_grad=True)
+    root = (relu(x) * -1.0).sum()
+    eager_backward(root)
+    want = x.grad.copy()
+    root.backward()
+    assert x.grad.tobytes() == want.tobytes()
+    assert not np.signbit(x.grad[[0, 2]]).any()
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_grad_check_rejects_empty_subsample(n):
+    # Zero entries per parameter would check nothing and report no error.
+    p = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match="at least 1"):
+        grad_check(lambda: (p * p).sum(), [p], max_entries_per_param=n)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -173,6 +173,24 @@ def test_negative_snapshot_every_rejected():
         load_run_config(overrides=["train.snapshot_every=-3"])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("phase1_lr", "nan"), ("phase1_lr", "-1e-3"), ("phase2_lr", "0"), ("phase2_lr", "inf"),
+    ("momentum", "1.0"), ("momentum", "-0.1"), ("momentum", "nan"),
+    ("weight_decay", "inf"), ("weight_decay", "-1e-4"), ("weight_decay", "nan"),
+])
+def test_bad_training_rates_rejected_at_load(key, value):
+    with pytest.raises(ConfigError, match=f"train.{key}"):
+        load_run_config(overrides=[f"train.{key}={value}"])
+    with pytest.raises(ValueError, match=key):
+        TrainSchedule(**{key: float(value)})
+
+
+def test_boundary_training_rates_accepted():
+    cfg = load_run_config(overrides=["train.momentum=0", "train.weight_decay=0",
+                                     "train.phase1_lr=1e-300"])
+    assert (cfg.schedule.momentum, cfg.schedule.weight_decay) == (0.0, 0.0)
+
+
 def test_recursive_single_parsing():
     cfg = load_run_config(overrides=["network.recursive=single:2"])
     assert cfg.network.recursive_level == 2
@@ -383,6 +401,27 @@ def test_cli_gradcheck_strict_tolerance_fails():
     r = run_cli(["gradcheck", "--max-entries", "1", "--tolerance", "1e-12"])
     assert r.returncode == 1
     assert "gradcheck FAIL" in r.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--max-entries", "0"], "max_entries_per_param must be at least 1"),
+    (["--max-entries", "-2"], "max_entries_per_param must be at least 1"),
+    (["--tolerance", "-1"], "--tolerance must be nonnegative"),
+])
+def test_cli_gradcheck_bad_arguments_exit_2(args, message):
+    r = run_cli(["gradcheck", *args])
+    assert r.returncode == 2
+    assert message in r.stderr and "PASS" not in r.stdout
+
+
+@pytest.mark.parametrize("setting", ["train.phase1_lr=nan", "train.weight_decay=inf",
+                                     "train.phase2_lr=0"])
+def test_cli_train_bad_rate_exits_2_before_training(workdir, tmp_path, setting):
+    out = tmp_path / "run"
+    r = run_cli(["train", "--data", str(workdir / "data"), "--out", str(out), "--set", setting])
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {setting.split('=')[0]} must be"), r.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_exit_code_usage_errors(tmp_path):

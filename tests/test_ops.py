@@ -15,7 +15,7 @@ from m2fcn.ops import (
     sigmoid,
     upsample,
 )
-from oracles import bilinear_upsample_pointwise, conv2d_loops, maxpool2_loops
+from oracles import bilinear_upsample_pointwise, conv2d_loops, maxpool2_loops, sigmoid_masked
 
 
 def t(arr, grad=False):
@@ -272,6 +272,19 @@ def test_sigmoid_extreme_logits_stay_finite():
     assert out[0] == 0.0 or out[0] > 0.0
     assert np.isfinite(out).all()
     assert out[1] <= 1.0
+
+
+@given(
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 30.0, 700.0, 745.2]),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_sigmoid_bytes_equal_masked_oracle(scale, seed, extra):
+    z = np.random.default_rng(seed).normal(size=(2, 16, 16)) * scale
+    edges = [0.0, -0.0, 745.2, -745.2, 36.8, -36.8, 5e-324, -5e-324, *extra]
+    z.flat[: len(edges)] = edges
+    assert sigmoid(t(z)).data.tobytes() == sigmoid_masked(z).tobytes()
 
 
 def test_sigmoid_gradient():

@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from m2fcn import training
 from m2fcn.autodiff import Tensor
 from m2fcn.data import synth_corpus
 from m2fcn.loss import total_loss
@@ -21,6 +24,7 @@ from m2fcn.training import (
     train,
     train_pipeline,
 )
+from oracles import sgd_step
 
 TOY = NetworkConfig(
     stages=2,
@@ -97,22 +101,84 @@ def test_sgd_raises_on_nonfinite_gradient():
         opt.step()
 
 
+CHUNK = training._STEP_CHUNK
+
+
 def test_sgd_nonfinite_gradient_moves_no_parameter():
-    a = Tensor(np.array([1.0]), requires_grad=True, name="a")
-    b = Tensor(np.array([1.0]), requires_grad=True, name="b")
-    opt = SGD({"a": a, "b": b}, lr=0.1, momentum=0.9, weight_decay=0.0)
-    a.grad, b.grad = np.array([1.0]), np.array([np.inf])
-    with pytest.raises(FloatingPointError, match="for b"):
-        opt.step()
-    assert np.array_equal(a.data, [1.0]) and np.array_equal(opt.velocity["a"], [0.0])
+    # "big" spans several update slices, and its inf sits in the last one.
+    for bad in ("b", "big"):
+        params = {
+            "a": Tensor(np.array([1.0]), requires_grad=True, name="a"),
+            "big": Tensor(np.ones(3 * CHUNK + 5), requires_grad=True, name="big"),
+            "b": Tensor(np.array([1.0]), requires_grad=True, name="b"),
+        }
+        opt = SGD(params, lr=0.1, momentum=0.9, weight_decay=0.0)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        params[bad].grad[-1] = np.inf
+        with pytest.raises(FloatingPointError, match=f"for {bad}"):
+            opt.step()
+        for name, p in params.items():
+            assert (p.data == 1.0).all() and not opt.velocity[name].any(), (bad, name)
 
 
 def test_sgd_validates_hyperparameters():
     p = Tensor(np.array([1.0]), requires_grad=True, name="p")
-    with pytest.raises(ValueError):
-        SGD({"p": p}, lr=-1.0)
-    with pytest.raises(ValueError):
-        SGD({"p": p}, lr=0.1, momentum=1.5)
+    for kw in (
+        {"lr": -1.0}, {"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf},
+        {"lr": 0.1, "momentum": 1.5}, {"lr": 0.1, "momentum": np.nan},
+        {"lr": 0.1, "weight_decay": -1.0}, {"lr": 0.1, "weight_decay": np.inf},
+        {"lr": 0.1, "weight_decay": np.nan},
+    ):
+        with pytest.raises(ValueError):
+            SGD({"p": p}, **kw)
+
+
+def signed_values(rng, n, zeros):
+    """Normal values with a share of exact +0.0 and -0.0 entries."""
+    x = rng.normal(size=n)
+    x[rng.random(n) < zeros] = 0.0
+    x[rng.random(n) < zeros] = -0.0
+    return x
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.floats(1e-6, 10.0),
+    momentum=st.sampled_from([0.0, 0.5, 0.9]),
+    weight_decay=st.sampled_from([0.0, 2e-4, 0.3]),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+@settings(max_examples=15, deadline=None)
+def test_sgd_step_bytes_equal_whole_tensor_expression(seed, lr, momentum, weight_decay, zeros):
+    rng = np.random.default_rng(seed)
+    shapes = {
+        "one": (1,), "below": (CHUNK - 1,), "exact": (CHUNK,), "above": (CHUNK + 1,),
+        "several": (3 * CHUNK + 5,), "conv": (CHUNK // 16 + 3, 4, 2, 2),
+        "unreached": (2 * CHUNK + 7,), "small_unreached": (5, 3), "frozen": (CHUNK + 9,),
+    }
+    start = {name: signed_values(rng, int(np.prod(shape)), zeros).reshape(shape)
+             for name, shape in shapes.items()}
+
+    def tensors():
+        out = {name: Tensor(v.copy(), requires_grad=True, name=name) for name, v in start.items()}
+        out["frozen"].requires_grad = False
+        return out
+
+    got, want = tensors(), tensors()
+    opt = SGD(got, lr, momentum, weight_decay)
+    velocity = {name: np.zeros_like(v) for name, v in start.items()}
+    for _ in range(3):
+        for name, shape in shapes.items():
+            g = None if "unreached" in name else signed_values(rng, int(np.prod(shape)), zeros).reshape(shape)
+            got[name].grad = want[name].grad = g
+        opt.step()
+        sgd_step(want, velocity, lr, momentum, weight_decay)
+        for name in shapes:
+            assert got[name].data.tobytes() == want[name].data.tobytes(), name
+            if name != "frozen":
+                assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+    assert "frozen" not in opt.velocity and got["frozen"].data.tobytes() == start["frozen"].tobytes()
 
 
 # ---- schedules and loops ----
@@ -188,8 +254,8 @@ def test_train_holds_one_graph_at_a_time():
     assert peak(3) <= 1.05 * peak(1)
 
 
-def diverged_run(data):
-    sched = TrainSchedule(phase1_iters=0, phase2_iters=40, phase2_lr=1e6, seed=0)
+def diverged_run(data, lr=1e6):
+    sched = TrainSchedule(phase1_iters=0, phase2_iters=40, phase2_lr=lr, seed=0)
     net = build_network(TOY, seed=0)
     rng = np.random.default_rng(0)
     for p in net.parameters().values():
@@ -217,6 +283,20 @@ def test_divergent_run_restores_lowest_logged_loss():
         for s in data
     ]
     assert min(r["total"] for r in result.log) in restored
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergent_run_restores_best_of_several_snapshots():
+    # One image, so every logged loss scores the same sample. At this rate
+    # the loss falls for a few iterations, each taking a new snapshot over
+    # the last one's arrays, before the run diverges.
+    data = corpus(1)
+    result = diverged_run(data, lr=1e-3)
+    totals = [r["total"] for r in result.log]
+    improvements = sum(t < min(totals[:i], default=np.inf) for i, t in enumerate(totals))
+    assert result.aborted and improvements >= 2
+    image, labels = Tensor(data[0].image), data[0].labels()
+    assert total_loss(result.network.forward_all(image), labels, TOY).item() == min(totals)
 
 
 def test_loss_reduction_at_desk_scale():
