@@ -9,10 +9,10 @@ is dropped. ``Tensor.backward`` walks the graph once in reverse topological
 order, accumulating gradients over every path.
 
 A closure keeps only what its parents cannot give it again: convolution
-rebuilds its im2col columns from its input's ``data``, ReLU reads its own
-output and max pooling keeps its argmax indices. The graph's inputs must
-therefore not change in place between forward and backward; ``SGD.step``
-moves the parameters only after backward has run.
+rebuilds the im2col columns of each row band from its input's ``data``,
+ReLU reads its own output and max pooling keeps its argmax indices. The
+graph's inputs must therefore not change in place between forward and
+backward; ``SGD.step`` moves the parameters only after backward has run.
 
 No gradient is zero-filled. Every closure hands its contributions to
 ``_accumulate``: the first that reaches a node in a sweep becomes its

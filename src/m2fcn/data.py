@@ -138,6 +138,9 @@ def load_image(path) -> np.ndarray:
 
 def save_image(path, image01) -> None:
     img = np.asarray(image01, dtype=np.float64)
+    # NaN fails no comparison, so it is rejected before the range check.
+    if not np.isfinite(img).all():
+        raise DataError("image values are not finite")
     if img.min() < 0.0 or img.max() > 1.0:
         raise DataError("image values outside [0, 1]")
     save_pgm(path, np.rint(img * 255.0).astype(np.int32), 255)

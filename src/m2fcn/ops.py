@@ -4,6 +4,16 @@ Convolution is cross-correlation (no kernel flip) plus bias, always at
 stride 1 with "same" padding; only 2x2 max pooling downsamples. Upsampling
 is a fixed-weight transposed convolution with a bilinear kernel applied per
 channel. All ops are exact float64 and deterministic.
+
+A convolution with a kernel larger than 1x1 multiplies its weight with an
+im2col column block built one band of output rows at a time, in the forward
+and in both gradients. A band's block is no larger than the layer's output,
+its weight or ``_BAND_ELEMENTS`` elements, whichever is largest, so a small
+map takes one band and a whole block, with the bytes of one GEMM. Over
+several bands the forward is one GEMM per band, the weight gradient sums
+one partial product per band, and an input row on a band edge takes its
+two bands' additions in band order, so results can differ from the
+one-band bytes by about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -40,30 +50,76 @@ class ConvParams:
         return conv2d(x, self.weight, self.bias)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Column block (C*kh*kw, H*W) of a CxHxW map under "same" zero padding.
+# A column block is built one band of output rows at a time, and a band's
+# block holds at most this many elements, or the layer's output or weight
+# count if larger. Below it a map stays in one band, where the many small
+# GEMMs of thin bands would cost more in call overhead than they save.
+_BAND_ELEMENTS = 1 << 18
 
-    A 1x1 kernel needs no padding or copy: the block is a view of ``x``.
+
+def _row_bands(x_shape, weight_shape) -> list[tuple[int, int]]:
+    """Output-row ranges [r0, r1) whose column blocks fit the band budget.
+
+    The budget is the largest of the layer's output, its weight and
+    ``_BAND_ELEMENTS``, so no block outgrows an array the graph already keeps
+    or that each band reads anyway. A band holds at least one row, and a
+    map with no rows gets one empty band. A 1x1 kernel's block is a view of
+    its input, so it takes one band.
+    """
+    cx, h, w = x_shape
+    o, _, kh, kw = weight_shape
+    row = cx * kh * kw * w
+    if kh == kw == 1 or row == 0:
+        return [(0, h)]
+    rows = max(1, max(o * h * w, o * cx * kh * kw, _BAND_ELEMENTS) // row)
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)] or [(0, h)]
+
+
+def _tap_windows(h: int, w: int, kh: int, kw: int, r0: int, r1: int):
+    """Per kernel tap, in (ki, kj) order: the in-bounds window of one band.
+
+    Yields (band index, map index): the first indexes a (C, kh, kw, r1 - r0,
+    W) band block, the second the (C, H, W) map cell that tap reads under
+    "same" zero padding. Cells outside the map are left out, so the block's
+    zeros stand for the padding.
+    """
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    for ki in range(kh):
+        lo, hi = max(r0, ph - ki), min(r1, h + ph - ki)
+        for kj in range(kw):
+            clo, chi = max(0, pw - kj), min(w, w + pw - kj)
+            if lo < hi and clo < chi:
+                yield (
+                    (slice(None), ki, kj, slice(lo - r0, hi - r0), slice(clo, chi)),
+                    (slice(None), slice(lo + ki - ph, hi + ki - ph), slice(clo + kj - pw, chi + kj - pw)),
+                )
+
+
+def _band_cols(x: np.ndarray, kh: int, kw: int, r0: int, r1: int) -> np.ndarray:
+    """Column block (C*kh*kw, (r1 - r0)*W) of output rows r0..r1 of a CxHxW map.
+
+    Built straight from ``x``, with no padded copy. A 1x1 kernel's single
+    band needs no copy: the block is a view of ``x``.
     """
     cx, h, w = x.shape
     if kh == kw == 1:
         return x.reshape(cx, h * w)
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((cx, kh, kw, h, w))
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xp[:, ki : ki + h, kj : kj + w]
-    return cols.reshape(cx * kh * kw, h * w)
+    cols = np.zeros((cx, kh, kw, r1 - r0, w))
+    for band_ix, map_ix in _tap_windows(h, w, kh, kw, r0, r1):
+        cols[band_ix] = x[map_ix]
+    return cols.reshape(cx * kh * kw, (r1 - r0) * w)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlate a CxHxW map with OxCxkHxkW filters.
 
     Stride 1 with "same" zero padding of (k - 1) // 2, so kernels must be
-    odd and the output keeps the input's height and width. The backward
-    closure keeps no column block: it rebuilds the columns from ``x.data``,
-    so ``x`` must not change in place between forward and backward.
+    odd and the output keeps the input's height and width. The forward and
+    both gradients run band by band over output rows (``_row_bands``), each
+    band one GEMM against its own column block; a map in one band takes one
+    GEMM over the whole block. The backward closure keeps no column block:
+    it rebuilds each band's columns from ``x.data``, so ``x`` must not
+    change in place between forward and backward.
     """
     if x.data.ndim != 3:
         raise ValueError(f"conv2d input must be CxHxW, got shape {x.shape}")
@@ -77,10 +133,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"bias shape {bias.shape} does not match {o} filters")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding needs odd kernels")
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
     wmat = weight.data.reshape(o, cx * kh * kw)
-    out = wmat @ _im2col(x.data, kh, kw)
+    bands = _row_bands(x.shape, weight.shape)
+    out = np.empty((o, h * w))
+    for r0, r1 in bands:
+        np.matmul(wmat, _band_cols(x.data, kh, kw, r0, r1), out=out[:, r0 * w : r1 * w])
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(o, h, w)
@@ -92,18 +150,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         def _bw(grad):
             g = grad.reshape(o, h * w)
             if weight.requires_grad:
-                _accumulate(weight, (g @ _im2col(x.data, kh, kw).T).reshape(weight.shape), owned=True)
+                parts = (
+                    g[:, r0 * w : r1 * w] @ _band_cols(x.data, kh, kw, r0, r1).T for r0, r1 in bands
+                )
+                dw = next(parts)
+                for part in parts:
+                    dw += part
+                _accumulate(weight, dw.reshape(weight.shape), owned=True)
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=1), owned=True)
             if x.requires_grad:
-                dcols = (wmat.T @ g).reshape(cx, kh, kw, h, w)
-                dxp = np.zeros((cx, h + 2 * ph, w + 2 * pw))
-                for ki in range(kh):
-                    for kj in range(kw):
-                        dxp[:, ki : ki + h, kj : kj + w] += dcols[:, ki, kj]
-                # A padded block is copied rather than kept, so the stored
-                # gradient is contiguous and holds no border.
-                _accumulate(x, dxp[:, ph : ph + h, pw : pw + w], owned=ph == pw == 0)
+                dx = np.zeros((cx, h, w))
+                for r0, r1 in bands:
+                    dcols = (wmat.T @ g[:, r0 * w : r1 * w]).reshape(cx, kh, kw, r1 - r0, w)
+                    for band_ix, map_ix in _tap_windows(h, w, kh, kw, r0, r1):
+                        dx[map_ix] += dcols[band_ix]
+                    # Freed here, so the next band is not built beside it.
+                    del dcols
+                _accumulate(x, dx, owned=True)
 
         res._backward = _bw
     return res

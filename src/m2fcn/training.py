@@ -86,9 +86,14 @@ class SGD:
     def step(self) -> None:
         """One update; a non-finite gradient raises before any parameter moves."""
         live = [(name, p) for name, p in self.params.items() if p.requires_grad]
-        for name, p in live:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise FloatingPointError(f"non-finite gradient for {name}")
+        # A finite sum rules out NaN and infinity without a boolean array;
+        # only a sum that overflows or is not finite is checked element by
+        # element, and that sum warns of nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in live:
+                g = p.grad
+                if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
+                    raise FloatingPointError(f"non-finite gradient for {name}")
         lr, momentum, decay = self.lr, self.momentum, self.weight_decay
         for name, p in live:
             v = self.velocity[name]

@@ -43,6 +43,49 @@ def conv2d_loops(x, w, b=None, stride=1, padding=None):
     return out
 
 
+def _im2col_padded(x, kh, kw):
+    cx, h, w = x.shape
+    if kh == kw == 1:
+        return x.reshape(cx, h * w)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((cx, kh, kw, h, w))
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = xp[:, ki : ki + h, kj : kj + w]
+    return cols.reshape(cx * kh * kw, h * w)
+
+
+def conv2d_whole_block(x, w, b=None):
+    """Same-padded stride-1 conv as one GEMM over the whole im2col block."""
+    cx, h, win = x.shape
+    o, _, kh, kw = w.shape
+    out = w.reshape(o, -1) @ _im2col_padded(x, kh, kw)
+    if b is not None:
+        out += b[:, None]
+    return out.reshape(o, h, win)
+
+
+def conv2d_whole_block_grads(x, w, g):
+    """(dx, dw, db) of ``conv2d_whole_block`` for output gradient ``g``.
+
+    The input gradient adds each tap's columns into a padded buffer in
+    (ki, kj) order and crops the border. Gradients are returned plus 0.0,
+    as the package stores a node's first contribution.
+    """
+    cx, h, win = x.shape
+    o, _, kh, kw = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    gm = g.reshape(o, h * win)
+    dw = (gm @ _im2col_padded(x, kh, kw).T).reshape(w.shape)
+    dcols = (w.reshape(o, -1).T @ gm).reshape(cx, kh, kw, h, win)
+    dxp = np.zeros((cx, h + 2 * ph, win + 2 * pw))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, ki : ki + h, kj : kj + win] += dcols[:, ki, kj]
+    return dxp[:, ph : ph + h, pw : pw + win] + 0.0, dw + 0.0, gm.sum(axis=1) + 0.0
+
+
 def maxpool2_loops(x):
     """2x2/2 max with bottom/right edge replication on odd extents."""
     c, h, w = x.shape

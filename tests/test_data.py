@@ -120,6 +120,16 @@ def test_image_roundtrip_exact_on_quantized(tmp_path):
     assert np.array_equal(load_image(path), img)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_image_rejects_non_finite_values(tmp_path, bad):
+    img = np.full((3, 3), 0.5)
+    img[1, 2] = bad
+    path = tmp_path / "n.pgm"
+    with pytest.raises(DataError, match="not finite"):
+        save_image(path, img)
+    assert not path.exists()
+
+
 # ---- Sample / boundary labels ----
 
 

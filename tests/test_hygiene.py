@@ -71,3 +71,29 @@ def test_all_entries_resolve(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("from dataclasses import dataclass, replace\n@dataclass\nclass A: pass\n")
     assert [n for n, _ in _imported(tree) if n not in _used(tree)] == ["replace"]
+
+
+def _imports_package(tree) -> list[int]:
+    """Lines of ``tree`` that import m2fcn or one of its modules."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "m2fcn" or n.startswith("m2fcn.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_oracles_import_nothing_from_the_package():
+    # An oracle that calls the package cannot catch the package's errors.
+    path = Path(__file__).resolve().parent / "oracles.py"
+    assert not _imports_package(_tree(path)), "oracles.py imports m2fcn"
+
+
+def test_package_import_check_flags_every_form():
+    src = "import m2fcn\nfrom m2fcn.ops import conv2d\nimport m2fcn.data as d\nimport numpy\n"
+    assert _imports_package(ast.parse(src)) == [1, 2, 3]

@@ -1,11 +1,14 @@
 """Convolution, pooling, upsampling, concatenation, pointwise ops."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2fcn.autodiff import Tensor, grad_check
+from m2fcn import ops
+from m2fcn.autodiff import Tensor, grad_check, no_grad
 from m2fcn.ops import (
     bilinear_kernel,
     concat_channels,
@@ -15,7 +18,15 @@ from m2fcn.ops import (
     sigmoid,
     upsample,
 )
-from oracles import bilinear_upsample_pointwise, conv2d_loops, maxpool2_loops, sigmoid_masked
+from oracles import (
+    bilinear_upsample_pointwise,
+    conv2d_loops,
+    conv2d_whole_block,
+    conv2d_whole_block_grads,
+    maxpool2_loops,
+    sigmoid_masked,
+)
+from test_network import _traced_peak
 
 
 def t(arr, grad=False):
@@ -81,6 +92,86 @@ def test_conv_gradients():
     b = t(rng.normal(size=3) * 0.1, grad=True)
     err = grad_check(lambda: conv2d(x, w, b).sum(), [x, w, b])
     assert err <= 1e-6
+
+
+def _conv_and_grads(x, w, b, g, frozen):
+    """Output and (dx, dw, db) of ``conv2d``; a frozen input gets None."""
+    xt, wt = t(x, grad=frozen != "x"), t(w, grad=frozen != "weight")
+    bt = None if b is None else t(b, grad=True)
+    out = conv2d(xt, wt, bt)
+    (out * t(g)).sum().backward()
+    return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 3),
+    o=st.integers(1, 3),
+    k=st.sampled_from([1, 3, 5, 7]),
+    h=st.integers(0, 9),
+    w=st.integers(0, 9),
+    budget=st.sampled_from([1, 60, 300, 2000, 1 << 18]),
+    with_bias=st.booleans(),
+    frozen=st.sampled_from(["none", "x", "weight"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_conv_bands_match_whole_block_oracle(seed, c, o, k, h, w, budget, with_bias, frozen):
+    # A small band budget splits the rows into several bands, a remainder
+    # band and one-row bands; the default keeps these maps in one band.
+    rng = np.random.default_rng(seed)
+    x, wt = rng.normal(size=(c, h, w)), rng.normal(size=(o, c, k, k))
+    b = rng.normal(size=o) if with_bias else None
+    g = rng.normal(size=(o, h, w))
+    with mock.patch.object(ops, "_BAND_ELEMENTS", budget):
+        bands = ops._row_bands(x.shape, wt.shape)
+        got = _conv_and_grads(x, wt, b, g, frozen)
+    assert bands[0][0] == 0 and bands[-1][1] == h
+    assert all(r1 == s0 for (_, r1), (s0, _) in zip(bands, bands[1:]))
+    if k == 1:
+        assert bands == [(0, h)]
+    else:
+        # No block outgrows the budget, unless one row already does.
+        bound = max(o * h * w, o * c * k * k, budget, c * k * k * w)
+        assert all(c * k * k * (r1 - r0) * w <= bound for r0, r1 in bands)
+    want_out = conv2d_whole_block(x, wt, b)
+    dx, dw, db = conv2d_whole_block_grads(x, wt, g)
+    want = (want_out, None if frozen == "x" else dx, None if frozen == "weight" else dw,
+            None if b is None else db)
+    for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
+        assert (a is None) == (e is None), name
+        if a is None:
+            continue
+        assert a.shape == e.shape, name
+        if len(bands) == 1:
+            assert a.tobytes() == e.tobytes(), name
+        else:
+            assert np.abs(a - e).max() <= 1e-12 * max(1.0, np.abs(e).max()), name
+    if h * w == 0:
+        assert got[2] is None or not got[2].any()
+        assert got[3] is None or not got[3].any()
+
+
+def test_conv_peak_stays_within_one_band():
+    # One multi-band 3x3 conv: a whole column block (9x the input) or a
+    # padded copy of the input breaks these bounds.
+    rng = np.random.default_rng(15)
+    x = t(rng.normal(size=(8, 128, 128)), grad=True)
+    w = t(rng.normal(size=(8, 8, 3, 3)), grad=True)
+    b = t(rng.normal(size=8), grad=True)
+    assert len(ops._row_bands(x.shape, w.shape)) > 1
+    map_bytes = x.data.nbytes  # input, output and both gradients: 1 MiB each
+    band = 8 * max(8 * 128 * 128, 8 * 8 * 9, ops._BAND_ELEMENTS)
+    slack = 512 << 10
+
+    def forward():
+        with no_grad():
+            conv2d(x, w, b)
+
+    def forward_backward():
+        conv2d(x, w, b).sum().backward()
+
+    assert _traced_peak(forward) < map_bytes + band + slack
+    assert _traced_peak(forward_backward) < 3 * map_bytes + band + slack
 
 
 # ---- maxpool2 ----

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,16 @@ def test_sgd_nonfinite_gradient_moves_no_parameter():
             opt.step()
         for name, p in params.items():
             assert (p.data == 1.0).all() and not opt.velocity[name].any(), (bad, name)
+
+
+def test_sgd_steps_on_finite_gradients_whose_sum_overflows():
+    p = Tensor(np.zeros(3), requires_grad=True, name="p")
+    opt = SGD({"p": p}, lr=1e-3, momentum=0.9, weight_decay=0.0)
+    p.grad = np.array([1e308, 1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step()
+    assert (p.data == -1e-3 * np.array([1e308, 1e308, 0.0])).all()
 
 
 def test_sgd_validates_hyperparameters():
