@@ -7,7 +7,7 @@ training, Rand-score evaluation, and a synthetic cell-image corpus for
 desk-scale experiments.
 """
 
-from .autodiff import Tensor, grad_check, gradients, zero_grads
+from .autodiff import Tensor, grad_check, gradients
 from .checkpoint import load_checkpoint, network_from_checkpoint, save_checkpoint
 from .config import DataParams, EvalParams, RunConfig, load_run_config
 from .data import Sample, augment36, boundary_from_segments, load_dataset, save_dataset, synth_corpus, synth_generate
@@ -22,7 +22,7 @@ from .evaluation import (
 from .loss import BoundaryLabels, class_balance_beta, fuse, side_loss, total_loss
 from .network import M2FCN, NetworkConfig, build_network
 from .ops import concat_channels, conv2d, maxpool2, relu, sigmoid, upsample
-from .subnet import LevelSpec, SubNet, SubNetConfig, build_subnet, receptive_field
+from .subnet import LevelSpec, SubNet, SubNetConfig, receptive_field
 from .training import SGD, TrainResult, TrainSchedule, train, train_pipeline
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "Tensor",
     "grad_check",
     "gradients",
-    "zero_grads",
     "conv2d",
     "maxpool2",
     "upsample",
@@ -46,7 +45,6 @@ __all__ = [
     "LevelSpec",
     "SubNetConfig",
     "SubNet",
-    "build_subnet",
     "receptive_field",
     "NetworkConfig",
     "M2FCN",

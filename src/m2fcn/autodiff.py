@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "gradients",
-    "zero_grads",
     "grad_check",
     "record_kinks",
     "no_grad",
@@ -266,11 +265,6 @@ def gradients(root: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
     return [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
     ]
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 _NO_GRAD = False

@@ -115,18 +115,14 @@ def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
 
 def network_from_checkpoint(path) -> M2FCN:
     """Build the network a checkpoint holds from its own tensors, with no
-    random init. Tensors whose names or shapes do not fit its config raise
-    CheckpointError before anything is built; a NaN or infinite value raises
-    it too, naming the tensor."""
+    random init. A tensor its config lacks or that does not fit it, an extra
+    tensor, or a NaN or infinite value raises CheckpointError naming the
+    problem."""
     config, state = load_checkpoint(path)
-    expected = 0
-    for name, shape in config.parameter_shapes():
-        if name not in state or state[name].shape != shape:
-            raise CheckpointError(f"{path} lacks tensor {name!r} of shape {shape}")
-        expected += 1
-    if expected != len(state):
-        raise CheckpointError(f"{path} holds tensors its config does not name")
     try:
-        return M2FCN(config, state)
-    except FloatingPointError as exc:  # raised by Tensor for non-finite data
-        raise CheckpointError(f"{path} holds {exc}") from None
+        net = M2FCN(config, state)
+    except (ValueError, FloatingPointError) as exc:  # a misfit or non-finite tensor
+        raise CheckpointError(f"{path}: {exc}") from None
+    if len(net.parameters()) != len(state):
+        raise CheckpointError(f"{path} holds tensors its config does not name")
+    return net

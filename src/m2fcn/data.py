@@ -120,6 +120,11 @@ def save_pgm(path, array, maxval: int) -> None:
         raise DataError(f"PGM raster must be HxW, got {arr.shape}")
     if maxval not in (255, 65535):
         raise PgmDepthError(f"refusing to write maxval {maxval}")
+    # A float raster would be truncated (and NaN cast) without a word.
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"PGM raster must hold integers, got {arr.dtype}")
+    if arr.size == 0:
+        raise DataError(f"PGM raster is empty: {arr.shape}")
     if arr.min() < 0 or arr.max() > maxval:
         raise DataError(f"values outside [0, {maxval}]")
     h, w = arr.shape

@@ -127,21 +127,24 @@ class SideOutputs:
 class M2FCN:
     """Stage chain plus per-stage fusion weights.
 
-    The one way to build a network: its parameters wrap the float64 arrays
-    of ``values``, keyed by ``config.parameter_shapes()`` name, without
-    copying them. A missing key raises KeyError; shapes are the caller's to
-    check.
+    The one way to build a network. It owns every parameter in one registry,
+    a dict of tensors in ``config.parameter_shapes()`` order, each wrapping
+    the float64 array of ``values`` under its name without copying it. The
+    sub-nets, ``forward_all``, SGD, freezing, ``state`` and checkpoints all
+    read that registry. A missing or misshapen value raises ValueError
+    naming the tensor; a non-finite one raises FloatingPointError. Keys of
+    ``values`` that the config does not name are ignored.
     """
 
     def __init__(self, config: NetworkConfig, values: dict[str, np.ndarray]):
         self.config = config
+        self._params: dict[str, Tensor] = {}
+        for name, shape in config.parameter_shapes():
+            if name not in values or np.shape(values[name]) != shape:
+                raise ValueError(f"network needs tensor {name!r} of shape {shape}")
+            self._params[name] = Tensor(values[name], requires_grad=True, name=name)
         self.stages = [
-            SubNet(config.stage_config(m), values, prefix=f"stage{m}/")
-            for m in range(1, config.stages + 1)
-        ]
-        self.fuse_weights = [
-            Tensor(values[f"stage{m}/fuse/weight"], requires_grad=True,
-                   name=f"stage{m}/fuse/weight")
+            SubNet(config.stage_config(m), self._params, prefix=f"stage{m}/")
             for m in range(1, config.stages + 1)
         ]
 
@@ -160,7 +163,7 @@ class M2FCN:
             logits = stage.forward(x)
             for n, t in enumerate(logits, start=1):
                 side[(m, n)] = t
-            fused[m] = fuse(logits, self.fuse_weights[m - 1])
+            fused[m] = fuse(logits, self._params[f"stage{m}/fuse/weight"])
             if m < cfg.stages:  # the last stage's maps feed nothing
                 chosen = logits if level is None else logits[level - 1 : level]
                 prev = [sigmoid(t) for t in chosen]
@@ -176,27 +179,22 @@ class M2FCN:
             return sigmoid(final).data[0].copy()
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for m, stage in enumerate(self.stages, start=1):
-            out.update(stage.parameters())
-            hw = self.fuse_weights[m - 1]
-            out[hw.name] = hw
-        return out
+        """A copy of the registry: the same tensors, in registry order."""
+        return dict(self._params)
 
     def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters().items()}
+        return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Copy ``state`` into the existing parameters (the trainer's rollback)."""
-        params = self.parameters()
-        missing = set(params) - set(state)
-        extra = set(state) - set(params)
+        missing = set(self._params) - set(state)
+        extra = set(state) - set(self._params)
         if missing or extra:
             raise ValueError(
                 f"state does not match network (missing {sorted(missing)[:3]}, "
                 f"unexpected {sorted(extra)[:3]})"
             )
-        for name, p in params.items():
+        for name, p in self._params.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")

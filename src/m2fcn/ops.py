@@ -3,7 +3,8 @@
 Convolution is cross-correlation (no kernel flip) plus bias, always at
 stride 1 with "same" padding; only 2x2 max pooling downsamples. Upsampling
 is a fixed-weight transposed convolution with a bilinear kernel applied per
-channel. All ops are exact float64 and deterministic.
+channel. All ops are exact float64 and deterministic. They take weights as
+plain tensors and keep none: the network's parameter registry owns them.
 
 A convolution with a kernel larger than 1x1 multiplies its weight with an
 im2col column block built one band of output rows at a time, in the forward
@@ -18,14 +19,11 @@ one-band bytes by about 1e-15 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, _accumulate, _result, trace_pool_windows, trace_relu
 
 __all__ = [
-    "ConvParams",
     "conv2d",
     "maxpool2",
     "upsample",
@@ -34,20 +32,6 @@ __all__ = [
     "relu",
     "sigmoid",
 ]
-
-
-@dataclass
-class ConvParams:
-    """Weights of one convolution layer.
-
-    weight: (out_channels, in_channels, k, k); bias: (out_channels,).
-    """
-
-    weight: Tensor
-    bias: Tensor
-
-    def apply(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias)
 
 
 # A column block is built one band of output rows at a time, and a band's

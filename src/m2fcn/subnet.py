@@ -14,12 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
+from . import ops
 from .autodiff import Tensor
-from .ops import ConvParams, maxpool2, relu, upsample
+from .ops import maxpool2, relu, upsample
 
-__all__ = [
-    "LevelSpec", "SubNetConfig", "SubNet", "build_subnet", "initial_values", "receptive_field",
-]
+__all__ = ["LevelSpec", "SubNetConfig", "SubNet", "initial_values", "receptive_field"]
 
 
 @dataclass(frozen=True)
@@ -92,26 +91,18 @@ def initial_values(config: SubNetConfig, seed: int, prefix: str = "") -> dict[st
     return values
 
 
-def build_subnet(config: SubNetConfig, seed: int, prefix: str = "") -> "SubNet":
-    """Seeded construction."""
-    return SubNet(config, initial_values(config, seed, prefix), prefix)
-
-
 class SubNet:
     """Forward pass produces one full-resolution logit map per level.
 
-    The parameters wrap the float64 arrays of ``values`` (keys ``prefix`` +
-    ``parameter_shapes`` name) without copying them; a missing key raises
-    KeyError.
+    A sub-net owns no tensors. It keeps the (weight, bias) pairs of
+    ``params``, the network's registry, under ``prefix`` + ``parameter_shapes``
+    name, so SGD, freezing and checkpoints reach the very tensors it reads;
+    a missing key raises KeyError.
     """
 
-    def __init__(self, config: SubNetConfig, values: dict[str, np.ndarray], prefix: str = ""):
-        def conv(key: str) -> ConvParams:
-            weight, bias = f"{prefix}{key}/weight", f"{prefix}{key}/bias"
-            return ConvParams(
-                Tensor(values[weight], requires_grad=True, name=weight),
-                Tensor(values[bias], requires_grad=True, name=bias),
-            )
+    def __init__(self, config: SubNetConfig, params: dict[str, Tensor], prefix: str = ""):
+        def conv(key: str) -> tuple[Tensor, Tensor]:
+            return params[f"{prefix}{key}/weight"], params[f"{prefix}{key}/bias"]
 
         self.config = config
         self.trunk = [
@@ -131,19 +122,11 @@ class SubNet:
         for lvl, layers in enumerate(self.trunk, start=1):
             if lvl > 1:
                 cur = maxpool2(cur)
-            for params in layers:
-                cur = relu(params.apply(cur))
-            logits = self.heads[lvl - 1].apply(cur)
+            # Called through the module, so a wrapper installed on
+            # ``ops.conv2d`` (the benchmark's tracer) sees every convolution.
+            for weight, bias in layers:
+                cur = relu(ops.conv2d(cur, weight, bias))
+            logits = ops.conv2d(cur, *self.heads[lvl - 1])
             factor = 2 ** (lvl - 1)
             side.append(upsample(logits, factor, out_hw=(h, w)))
         return side
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for lvl in range(len(self.trunk)):
-            for params in self.trunk[lvl]:
-                out[params.weight.name] = params.weight
-                out[params.bias.name] = params.bias
-            out[self.heads[lvl].weight.name] = self.heads[lvl].weight
-            out[self.heads[lvl].bias.name] = self.heads[lvl].bias
-        return out

@@ -60,11 +60,10 @@ class SGD:
 
     Parameters with requires_grad False are never touched. A parameter the
     last backward never reached contributes a zero gradient (decay and
-    momentum still apply). A tensor longer than ``_STEP_CHUNK`` elements is
-    updated in place, slice by slice through one scratch buffer, with the
-    roundings of the expression above in its order; a shorter one takes the
-    expression as written. Either way the step allocates nothing
-    parameter-sized.
+    momentum still apply). Every tensor is updated in place, slice by slice
+    through one scratch buffer of at most ``_STEP_CHUNK`` elements, with the
+    roundings of the expression above in its order, so the step allocates
+    nothing parameter-sized.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
@@ -79,9 +78,8 @@ class SGD:
             for name, p in params.items()
             if p.requires_grad
         }
-        # Only tensors longer than one slice pass through the scratch buffer.
-        big = any(v.size > _STEP_CHUNK for v in self.velocity.values())
-        self._scratch = np.empty(_STEP_CHUNK) if big else None
+        longest = max((v.size for v in self.velocity.values()), default=0)
+        self._scratch = np.empty(min(longest, _STEP_CHUNK))
 
     def step(self) -> None:
         """One update; a non-finite gradient raises before any parameter moves."""
@@ -96,16 +94,7 @@ class SGD:
                     raise FloatingPointError(f"non-finite gradient for {name}")
         lr, momentum, decay = self.lr, self.momentum, self.weight_decay
         for name, p in live:
-            v = self.velocity[name]
-            if p.data.size <= _STEP_CHUNK:
-                # A tensor that fits in one slice takes the expression as
-                # written: its temporaries are small, and slicing would cost
-                # more calls than it saves.
-                v *= momentum
-                v -= lr * ((0.0 if p.grad is None else p.grad) + decay * p.data)
-                p.data += v
-                continue
-            pf, vf = p.data.reshape(-1), v.reshape(-1)
+            pf, vf = p.data.reshape(-1), self.velocity[name].reshape(-1)
             gf = None if p.grad is None else p.grad.reshape(-1)
             for lo in range(0, pf.size, _STEP_CHUNK):
                 hi = lo + _STEP_CHUNK
@@ -166,7 +155,7 @@ def _prepare(data) -> list[tuple[Tensor, BoundaryLabels]]:
     return prepared
 
 
-def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
+def _run_loop(net, prepared, iters, lr, schedule, out_dir=None):
     """Shared inner loop; returns (log, aborted)."""
     cfg = net.config
     params = net.parameters()
@@ -185,7 +174,7 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             outs = net.forward_all(image)
             loss = total_loss(outs, labels, cfg)
             beta = class_balance_beta(labels)
-            record = {"iteration": log_offset + it, "total": loss.item()}
+            record = {"iteration": it, "total": loss.item()}
             for m in range(1, cfg.stages + 1):
                 record[f"fused{m}"] = balanced_ce_value(outs.fused[m].data, labels, beta)
             log.append(record)
@@ -211,9 +200,7 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None, log_offset=0):
             aborted = True
             break
         if schedule.snapshot_every > 0 and out_dir is not None and it % schedule.snapshot_every == 0:
-            save_checkpoint(
-                f"{out_dir}/snapshot_{log_offset + it:06d}.m2f", cfg, net.state()
-            )
+            save_checkpoint(f"{out_dir}/snapshot_{it:06d}.m2f", cfg, net.state())
     return log, aborted
 
 
@@ -229,14 +216,13 @@ def pretrain_stage1(config: NetworkConfig, data, schedule: TrainSchedule):
     return net.state(), log, aborted
 
 
-def train(net: M2FCN, data, schedule: TrainSchedule, out_dir=None, log_offset=0) -> TrainResult:
+def train(net: M2FCN, data, schedule: TrainSchedule, out_dir=None) -> TrainResult:
     """Phase 2 over a prepared network (stage 1 usually pretrained)."""
     if schedule.mode == "stepwise" and net.config.stages > 1:
         freeze_stage(net, 1)
     prepared = _prepare(data)
     log, aborted = _run_loop(
-        net, prepared, schedule.phase2_iters, schedule.phase2_lr, schedule,
-        out_dir=out_dir, log_offset=log_offset,
+        net, prepared, schedule.phase2_iters, schedule.phase2_lr, schedule, out_dir=out_dir
     )
     return TrainResult(net, log, aborted)
 

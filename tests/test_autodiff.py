@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2fcn.autodiff import Tensor, grad_check, gradients, no_grad, zero_grads
+from m2fcn.autodiff import Tensor, grad_check, gradients, no_grad
 from m2fcn.ops import conv2d, relu
 from oracles import eager_backward
 
@@ -56,13 +56,6 @@ def test_gradients_helper_zero_for_unreachable():
     gp, gq = gradients(root, [p, q])
     assert np.array_equal(gp, np.ones(3))
     assert np.array_equal(gq, np.zeros(2))
-
-
-def test_zero_grads():
-    p = Tensor(np.ones(2), requires_grad=True)
-    p.sum().backward()
-    zero_grads([p])
-    assert p.grad is None
 
 
 def test_backward_from_root_without_grad_raises():

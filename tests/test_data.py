@@ -102,6 +102,26 @@ def test_save_pgm_rejects_out_of_range(tmp_path):
         save_pgm(tmp_path / "i.pgm", np.full((2, 2), 300, dtype=np.int32), 255)
 
 
+@pytest.mark.parametrize("raster", [
+    np.array([[np.nan, 3.7]]),  # used to load back as [[0, 3]]
+    np.array([[1.0, 2.0]]),
+    np.array([[True, False]]),
+], ids=["nan-and-fraction", "whole-floats", "bool"])
+def test_save_pgm_rejects_non_integer_rasters(tmp_path, raster):
+    path = tmp_path / "f.pgm"
+    with pytest.raises(DataError, match="must hold integers"):
+        save_pgm(path, raster, 255)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_save_pgm_rejects_empty_rasters(tmp_path, shape):
+    path = tmp_path / "e.pgm"
+    with pytest.raises(DataError, match="empty"):
+        save_pgm(path, np.zeros(shape, dtype=np.int32), 65535)
+    assert not path.exists()
+
+
 def test_image_roundtrip_quantizes(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.random((6, 6))

@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, and
-every ``__all__`` entry names something its module defines."""
+"""Static checks on the package source: every imported name is used, every
+``__all__`` entry names something its module defines, and every top-level
+definition is used by the package or the benchmark."""
 
 import ast
 import importlib
@@ -97,3 +98,62 @@ def test_oracles_import_nothing_from_the_package():
 def test_package_import_check_flags_every_form():
     src = "import m2fcn\nfrom m2fcn.ops import conv2d\nimport m2fcn.data as d\nimport numpy\n"
     assert _imports_package(ast.parse(src)) == [1, 2, 3]
+
+
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+# Top-level names that no module calls but that stay public: the acceptance
+# criteria call them, as the library API a user would.
+UNCALLED_API = {
+    "rand_scores": "the Rand-arithmetic criterion scores the published rows with it",
+    "receptive_field": "the architecture-geometry criterion checks the paper's table with it",
+}
+
+
+def _definitions(tree) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _references(tree) -> set[str]:
+    """Names read anywhere in ``tree``, as a name or an attribute, except a
+    top-level definition's mentions of itself inside its own body.
+    ``__all__`` strings and import statements are not references."""
+    refs = set()
+    for stmt in tree.body:
+        names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        refs |= names
+    return refs
+
+
+def _unreferenced(defining: list[Path], reading: list[Path]) -> list[str]:
+    refs = set().union(*(_references(_tree(p)) for p in reading))
+    return [f"{p.stem}.{name}" for p in defining for name in _definitions(_tree(p))
+            if name not in refs]
+
+
+def test_every_top_level_definition_is_used():
+    # The package and the benchmark are the only readers; a name that only
+    # its own definition, ``__all__`` and the package re-export mention is
+    # dead surface, whatever a test does with it.
+    unused = _unreferenced(MODULES, MODULES + PERFBENCH)
+    dead = [d for d in unused if d.split(".")[1] not in UNCALLED_API]
+    assert not dead, f"defined but never used in src/m2fcn or perfbench: {dead}"
+    stale = set(UNCALLED_API) - {d.split(".")[1] for d in unused}
+    assert not stale, f"allowed as uncalled but now used: {sorted(stale)}"
+
+
+def test_unused_definition_check_flags_dead_code(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "__all__ = ['dead', 'used', 'recursive']\n"
+        "def dead(): pass\n"
+        "def used(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Box:\n    def get(self): return used()\n"
+        "x = Box\n"
+    )
+    assert _unreferenced([src], [src]) == ["mod.dead", "mod.recursive"]

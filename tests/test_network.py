@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from m2fcn.autodiff import Tensor
-from m2fcn.network import M2FCN, NetworkConfig, build_network, parse_recursive
+from m2fcn.network import M2FCN, NetworkConfig, build_network, initial_values, parse_recursive
 from m2fcn.ops import sigmoid
 from m2fcn.subnet import LevelSpec, SubNetConfig
+from m2fcn.training import SGD, freeze_stage
 from oracles import graph_predict
 
 TOY_SUBNET = SubNetConfig(
@@ -281,6 +282,67 @@ def test_fuse_weights_initialized_to_uniform():
     for m in (1, 2):
         w = net.parameters()[f"stage{m}/fuse/weight"]
         assert np.allclose(w.data, 1.0 / 3.0)
+
+
+# ---- the parameter registry ----
+
+
+@pytest.mark.parametrize("cfg", [
+    toy_config(),
+    toy_config(recursive_level=2),
+    NetworkConfig(stages=1, subnet=TOY_SUBNET),
+], ids=["all", "single2", "one-stage"])
+def test_registry_follows_config_names_in_order(cfg):
+    net = build_network(cfg, seed=17)
+    params = net.parameters()
+    assert [(k, p.shape) for k, p in params.items()] == list(cfg.parameter_shapes())
+    assert all(p.name == k and p.requires_grad for k, p in params.items())
+    # A copy of the registry: the same tensors, but editing it changes nothing.
+    params.popitem()
+    again = net.parameters()
+    assert list(again) == [k for k, _ in cfg.parameter_shapes()]
+    assert all(again[k] is p for k, p in params.items())
+
+
+@pytest.mark.parametrize("name", [
+    "stage1/level1/conv1/weight", "stage2/level3/conv2/bias", "stage2/head3/weight",
+    "stage1/fuse/weight", "stage2/fuse/weight",
+])
+def test_forward_reads_the_registry_tensors(name):
+    # Sub-nets and fusion read the very tensors that SGD, freezing and
+    # state() reach through parameters(): an in-place edit of one moves the
+    # prediction, and each of those sees it.
+    net = perturbed(build_network(toy_config(), seed=18), seed=19)
+    img = Tensor(np.random.default_rng(7).uniform(0, 1, (1, 8, 8)))
+
+    def fused():
+        return np.stack([t.data for t in net.forward_all(img).fused.values()])
+
+    before = fused()
+    p = net.parameters()[name]
+    p.data += 0.25
+    assert not np.array_equal(fused(), before)
+    assert np.array_equal(net.state()[name], p.data)
+    stage = int(name[len("stage")])
+    freeze_stage(net, stage)
+    assert not p.requires_grad
+    opt = SGD(net.parameters(), lr=0.1)
+    assert name not in opt.velocity and len(opt.velocity) > 0
+
+
+def test_network_rejects_missing_or_misshapen_values():
+    cfg = toy_config()
+    values = initial_values(cfg, seed=20)
+    del values["stage2/head1/bias"]
+    with pytest.raises(ValueError, match=r"'stage2/head1/bias' of shape \(1,\)"):
+        M2FCN(cfg, values)
+    values = initial_values(cfg, seed=20)
+    values["stage1/level2/conv1/weight"] = np.zeros((16, 8, 3))
+    with pytest.raises(ValueError, match=r"'stage1/level2/conv1/weight' of shape \(16, 8, 3, 3\)"):
+        M2FCN(cfg, values)
+    # Keys the config does not name are left alone.
+    values = {**initial_values(cfg, seed=20), "stage3/fuse/weight": np.ones(3)}
+    assert "stage3/fuse/weight" not in M2FCN(cfg, values).parameters()
 
 
 def test_state_roundtrip_and_strictness():

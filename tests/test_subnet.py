@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from m2fcn.autodiff import Tensor
-from m2fcn.subnet import LevelSpec, SubNetConfig, build_subnet, receptive_field
+from m2fcn.subnet import LevelSpec, SubNet, SubNetConfig, initial_values, receptive_field
 from oracles import rf_influence_1d
 
 TOY = SubNetConfig(
@@ -19,6 +19,15 @@ PAPER = SubNetConfig(
         LevelSpec(3, 512),
     )
 )
+
+
+def build_subnet(config, seed, prefix=""):
+    """A sub-net over a registry of its own, as ``M2FCN`` builds each stage."""
+    params = {
+        name: Tensor(value, requires_grad=True, name=name)
+        for name, value in initial_values(config, seed, prefix).items()
+    }
+    return SubNet(config, params, prefix), params
 
 
 def test_config_validation():
@@ -64,8 +73,7 @@ def test_receptive_field_level_bounds():
 
 
 def test_parameter_inventory_and_shapes():
-    net = build_subnet(TOY, seed=0)
-    params = net.parameters()
+    _, params = build_subnet(TOY, seed=0)
     # trunk: conv weights/biases per level
     assert params["level1/conv1/weight"].data.shape == (8, 1, 3, 3)
     assert params["level1/conv2/weight"].data.shape == (8, 8, 3, 3)
@@ -79,7 +87,7 @@ def test_parameter_inventory_and_shapes():
 
 
 def test_heads_start_at_zero_so_side_logits_are_zero():
-    net = build_subnet(TOY, seed=1)
+    net, _ = build_subnet(TOY, seed=1)
     x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 12, 12)))
     outs = net.forward(x)
     assert len(outs) == 3
@@ -88,7 +96,7 @@ def test_heads_start_at_zero_so_side_logits_are_zero():
 
 
 def test_side_outputs_keep_input_resolution():
-    net = build_subnet(TOY, seed=2)
+    net, _ = build_subnet(TOY, seed=2)
     for h, w in ((12, 12), (11, 13), (8, 17)):
         outs = net.forward(Tensor(np.zeros((1, h, w))))
         for s in outs:
@@ -96,21 +104,18 @@ def test_side_outputs_keep_input_resolution():
 
 
 def test_same_seed_same_parameters():
-    a = build_subnet(TOY, seed=5)
-    b = build_subnet(TOY, seed=5)
-    for (ka, pa), (kb, pb) in zip(a.parameters().items(), b.parameters().items()):
+    _, a = build_subnet(TOY, seed=5)
+    _, b = build_subnet(TOY, seed=5)
+    for (ka, pa), (kb, pb) in zip(a.items(), b.items()):
         assert ka == kb
         assert np.array_equal(pa.data, pb.data)
-    c = build_subnet(TOY, seed=6)
-    assert any(
-        not np.array_equal(pa.data, pc.data)
-        for pa, pc in zip(a.parameters().values(), c.parameters().values())
-    )
+    _, c = build_subnet(TOY, seed=6)
+    assert any(not np.array_equal(pa.data, pc.data) for pa, pc in zip(a.values(), c.values()))
 
 
 def test_single_level_head_is_identity_scale():
     cfg = SubNetConfig(levels=(LevelSpec(1, 4),))
-    net = build_subnet(cfg, seed=0)
+    net, _ = build_subnet(cfg, seed=0)
     # factor-1 upsample means the head output is exactly the 1x1 conv result
     x = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 6, 6)))
     outs = net.forward(x)
@@ -124,8 +129,7 @@ def test_one_level_identity_configured_net_matches_conv_composition():
     from oracles import conv2d_loops
 
     cfg = SubNetConfig(levels=(LevelSpec(1, 2),))
-    net = build_subnet(cfg, seed=0)
-    params = net.parameters()
+    net, params = build_subnet(cfg, seed=0)
     rng = np.random.default_rng(2)
     wt = rng.uniform(0.05, 0.3, params["level1/conv1/weight"].data.shape)
     bt = rng.uniform(0.1, 0.5, 2)
@@ -143,11 +147,16 @@ def test_one_level_identity_configured_net_matches_conv_composition():
 
 
 def test_prefix_namespaces_parameters():
-    net = build_subnet(TOY, seed=0, prefix="stage2/")
-    assert all(k.startswith("stage2/") for k in net.parameters())
+    net, params = build_subnet(TOY, seed=0, prefix="stage2/")
+    assert all(k.startswith("stage2/") for k in params)
+    # The sub-net keeps the registry's tensors themselves, not copies.
+    assert net.trunk[0][0][0] is params["stage2/level1/conv1/weight"]
+    assert net.heads[2][1] is params["stage2/head3/bias"]
+    with pytest.raises(KeyError):
+        SubNet(TOY, params)
 
 
 def test_input_channel_guard():
-    net = build_subnet(TOY, seed=0)
+    net, _ = build_subnet(TOY, seed=0)
     with pytest.raises(ValueError):
         net.forward(Tensor(np.zeros((2, 8, 8))))

@@ -366,7 +366,7 @@ def test_predict_between_train_calls_changes_nothing():
         net = build_network(TOY, seed=0)
         first = train(net, data, sched)
         between(net)
-        second = train(net, data, sched, log_offset=3)
+        second = train(net, data, sched)
         return loss_log_csv(first.log + second.log, TOY.stages)
 
     plain = run(lambda net: None)

@@ -20,6 +20,7 @@ from m2fcn.autodiff import Tensor, _toposort
 from m2fcn.loss import BoundaryLabels, class_balance_beta, side_loss, total_loss
 from m2fcn.network import M2FCN, NetworkConfig, build_network
 from m2fcn.ops import conv2d
+from m2fcn.subnet import parameter_shapes
 from m2fcn.training import freeze_stage
 from oracles import eager_backward
 from test_network import PAPER_SMALL, TOY_SUBNET, _traced_peak, perturbed
@@ -139,7 +140,7 @@ def test_only_trainable_leaves_keep_gradients(name):
     live = trainable(net).values()
     assert live and all(p.grad is not None and p.grad.shape == p.shape for p in live)
     frozen = [p for p in net.parameters().values() if not p.requires_grad]
-    assert len(frozen) == (0 if name == "toy-all" else len(net.stages[0].parameters()) + 1)
+    assert len(frozen) == (0 if name == "toy-all" else len(list(parameter_shapes(net.config.stage_config(1)))) + 1)
     assert all(p.grad is None for p in frozen)
     interior = [n for n in _toposort(root) if n._parents]
     assert root in interior and all(n.grad is None for n in interior)
