@@ -1,4 +1,9 @@
-"""Float64 tensors plus a reverse-mode differentiation graph.
+"""Float32 or float64 tensors plus a reverse-mode differentiation graph.
+
+A tensor keeps a float32 array as float32 and makes anything else float64.
+Networks compute in float32, the dtype ``initial_values`` draws, and every
+op follows its input's dtype, so a float64 network computes in float64
+throughout; gradient checks run there. A gradient has its node's dtype.
 
 Feature maps are channels x height x width arrays kept C-contiguous, so
 ``data.ravel()`` is the row-major flat view. Ops are eager: each returns a
@@ -53,7 +58,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        # float32 stays float32; anything else, Python numbers included,
+        # becomes float64.
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        arr = np.ascontiguousarray(data, dtype=dtype)
         # The trainer relies on this check to catch divergence early.
         if not np.isfinite(arr).all():
             raise FloatingPointError(

@@ -1,16 +1,21 @@
-"""Binary checkpoint container: network config plus named float64 tensors.
+"""Binary checkpoint container: network config plus named float tensors.
 
 Layout (all integers little-endian):
 
     magic   4 bytes  b"M2FC"
-    version u32      currently 2
+    version u32      currently 3
+    dtype   3 bytes  element type of every tensor: b"<f4" or b"<f8"
     cfg_len u32      length of the UTF-8 JSON network config
     config  cfg_len bytes
     count   u32      number of tensors
     per tensor:
         name_len u16, name bytes (UTF-8)
         ndim u8, dims u32 * ndim
-        values float64 little-endian, row-major
+        values of the element type, little-endian, row-major
+
+A float32 network is written as ``<f4``, at half the bytes of ``<f8``.
+Version 2 is version 3 without the dtype field, always ``<f8``; such files
+still load, as float64 networks.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from .network import M2FCN, NetworkConfig
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "network_from_checkpoint"]
 
 MAGIC = b"M2FC"
-VERSION = 2
+VERSION = 3
+# Element types a file may declare; version 2 files hold float64 only.
+DTYPES = (b"<f4", b"<f8")
 
 
 class CheckpointError(ValueError):
@@ -36,12 +43,22 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: NetworkConfig, state: dict[str, np.ndarray]) -> None:
-    """Write the file through its .partial name, one tensor at a time."""
+    """Write the file through its .partial name, one tensor at a time.
+
+    The element type is ``<f4`` when every tensor is float32 and ``<f8``
+    when none is, as ``Tensor`` would hold them; a state that mixes float32
+    with anything else raises CheckpointError before the file is opened.
+    """
+    float32 = [np.asarray(arr).dtype == np.float32 for arr in state.values()]
+    if any(float32) and not all(float32):
+        raise CheckpointError("checkpoint state mixes float32 with other dtypes")
+    code = DTYPES[0] if any(float32) else DTYPES[1]
     cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
     with atomic_open(path) as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg + struct.pack("<I", len(state)))
+        fh.write(MAGIC + struct.pack("<I", VERSION) + code + struct.pack("<I", len(cfg)) + cfg
+                 + struct.pack("<I", len(state)))
         for name, arr in state.items():
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.ascontiguousarray(arr, dtype=code.decode())
             encoded = name.encode()
             fh.write(struct.pack(f"<H{len(encoded)}sB{a.ndim}I",
                                  len(encoded), encoded, a.ndim, *a.shape))
@@ -52,9 +69,9 @@ def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     """Parse a checkpoint; an unreadable file or any malformed content
     raises CheckpointError.
 
-    Every length is checked against the file size before anything is read
-    or allocated, and each tensor's values are read straight into a fresh
-    array of their own.
+    Every length, in elements of the declared type, is checked against
+    the file size before anything is read or allocated, and each tensor's
+    values are read straight into a fresh array of their own, of that type.
     """
     try:
         with open(path, "rb") as fh:
@@ -82,8 +99,12 @@ def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     if take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
+    if version not in (2, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    code = take(3) if version == VERSION else DTYPES[1]
+    if code not in DTYPES:
+        raise CheckpointError(f"unknown element type {code!r} in {path}")
+    dtype = np.dtype(code.decode())
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
         config = NetworkConfig.from_dict(json.loads(take(cfg_len).decode()))
@@ -100,9 +121,9 @@ def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         # Python integers: a numpy product of four large dims wraps to 0.
-        claim(8 * math.prod(dims))
+        claim(dtype.itemsize * math.prod(dims))
         try:
-            arr = np.empty(dims, dtype="<f8")
+            arr = np.empty(dims, dtype=dtype)
         except ValueError as exc:  # more dims than numpy supports
             raise CheckpointError(f"bad shape {dims} for {name!r} in {path}") from exc
         if fh.readinto(arr) != arr.nbytes:
@@ -114,10 +135,10 @@ def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
 
 
 def network_from_checkpoint(path) -> M2FCN:
-    """Build the network a checkpoint holds from its own tensors, with no
-    random init. A tensor its config lacks or that does not fit it, an extra
-    tensor, or a NaN or infinite value raises CheckpointError naming the
-    problem."""
+    """Build the network a checkpoint holds from its own tensors, in their
+    stored dtype, with no random init. A tensor its config lacks or that
+    does not fit it, an extra tensor, or a NaN or infinite value raises
+    CheckpointError naming the problem."""
     config, state = load_checkpoint(path)
     try:
         net = M2FCN(config, state)

@@ -32,7 +32,7 @@ from .data import (
 from .evaluation import LabelImage, best_fscore_sweep, pr_curve_csv
 from .iohelpers import atomic_write_text
 from .loss import total_loss
-from .network import NetworkConfig, build_network
+from .network import M2FCN, NetworkConfig, initial_values
 from .subnet import LevelSpec, SubNetConfig
 from .training import train_pipeline, loss_log_csv
 
@@ -183,7 +183,9 @@ def cmd_gradcheck(args) -> int:
         levels=(LevelSpec(convs=1, channels=4), LevelSpec(convs=2, channels=6))
     )
     config = NetworkConfig(stages=2, subnet=subnet)
-    net = build_network(config, args.seed)
+    # In float64: a float32 network's rounding swamps a central difference.
+    values = initial_values(config, args.seed)
+    net = M2FCN(config, {k: v.astype(np.float64) for k, v in values.items()})
     for p in net.parameters().values():
         p.data += rng.normal(0.0, 0.05, p.data.shape)
     image = rng.uniform(0.05, 0.95, (1, 11, 10))

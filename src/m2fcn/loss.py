@@ -8,6 +8,10 @@ Boundary pixels are the sigmoid(s) -> 0 class: the loss of one logit map is
 summed (not averaged) over pixels. beta is computed once per image from the
 label counts. The total objective is one ``side_loss`` over the stack of
 every side and fused map, so all terms share one pair of weight rasters.
+
+The loss is formed in float64 whatever the logits' dtype: its value is a
+float64 sum, and each map's gradient is formed in float64 and written back
+in the logits' dtype.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
+def _rows64(stack: np.ndarray):
+    """The maps of a KxHxW stack one at a time, each as float64."""
+    return (s.astype(np.float64, copy=False) for s in stack)
+
+
 def balanced_ce_value(logits_data: np.ndarray, labels: BoundaryLabels, beta: float) -> float:
     """Plain-number side_loss of one logit map, for logging and oracles."""
     return side_loss(Tensor(logits_data.reshape((1,) + labels.mask.shape)), labels, beta).item()
@@ -75,7 +84,8 @@ def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
     """Summed class-weighted logistic loss of a KxHxW stack of logit maps.
 
     One pair of weight rasters serves all K maps, which are scored one at a
-    time and summed in stack order; backward forms their gradients row by row.
+    time in float64 and summed in stack order; backward forms their
+    gradients row by row in float64 and stores them in the logits' dtype.
     """
     if logits.data.ndim != 3 or logits.shape[0] == 0 or logits.shape[1:] != labels.mask.shape:
         raise ValueError(f"logits {logits.shape} are not a KxHxW stack over {labels.mask.shape}")
@@ -83,13 +93,15 @@ def side_loss(logits: Tensor, labels: BoundaryLabels, beta: float) -> Tensor:
         raise ValueError("beta must be finite")
     w_boundary = beta * labels.mask
     w_background = (1.0 - beta) * ~labels.mask
-    value = sum(np.sum(w_boundary * _softplus(s) + w_background * _softplus(-s)) for s in logits.data)
+    value = sum(
+        np.sum(w_boundary * _softplus(s) + w_background * _softplus(-s)) for s in _rows64(logits.data)
+    )
     res = _result(np.asarray(value), (logits,))
     if res.requires_grad:
 
         def _bw(grad):
             dlogits = np.empty_like(logits.data)
-            for k, s in enumerate(logits.data):
+            for k, s in enumerate(_rows64(logits.data)):
                 ds = w_boundary * _sigmoid(s) - w_background * _sigmoid(-s)
                 np.multiply(grad, ds, out=dlogits[k])
             _accumulate(logits, dlogits, owned=True)

@@ -129,11 +129,15 @@ class M2FCN:
 
     The one way to build a network. It owns every parameter in one registry,
     a dict of tensors in ``config.parameter_shapes()`` order, each wrapping
-    the float64 array of ``values`` under its name without copying it. The
-    sub-nets, ``forward_all``, SGD, freezing, ``state`` and checkpoints all
+    the array of ``values`` under its name, with no copy when it is a
+    C-contiguous float32 or float64 array (``Tensor`` makes anything else
+    float64). The registry's one dtype is the network's ``dtype``:
+    ``forward_all`` casts its image to it, and every op, gradient and SGD
+    buffer follows it. The sub-nets, ``forward_all``, SGD, freezing, ``state`` and checkpoints all
     read that registry. A missing or misshapen value raises ValueError
-    naming the tensor; a non-finite one raises FloatingPointError. Keys of
-    ``values`` that the config does not name are ignored.
+    naming the tensor, as do values of more than one dtype; a non-finite one
+    raises FloatingPointError. Keys of ``values`` that the config does not
+    name are ignored.
     """
 
     def __init__(self, config: NetworkConfig, values: dict[str, np.ndarray]):
@@ -143,17 +147,28 @@ class M2FCN:
             if name not in values or np.shape(values[name]) != shape:
                 raise ValueError(f"network needs tensor {name!r} of shape {shape}")
             self._params[name] = Tensor(values[name], requires_grad=True, name=name)
+        dtypes = {p.data.dtype for p in self._params.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"network values mix dtypes {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop()
         self.stages = [
             SubNet(config.stage_config(m), self._params, prefix=f"stage{m}/")
             for m in range(1, config.stages + 1)
         ]
 
     def forward_all(self, image: Tensor) -> SideOutputs:
+        """Every side and fused logit map of ``image``, in the network's dtype.
+
+        An image of another dtype is cast once, as a new input tensor; one
+        already in it is used as it is.
+        """
         cfg = self.config
         if image.data.ndim != 3 or image.shape[0] != cfg.subnet.input_channels:
             raise ValueError(
                 f"image must be {cfg.subnet.input_channels}xHxW, got {image.shape}"
             )
+        if image.data.dtype != self.dtype:
+            image = Tensor(image.data.astype(self.dtype))
         side: dict[tuple[int, int], Tensor] = {}
         fused: dict[int, Tensor] = {}
         prev: list[Tensor] = []
@@ -186,7 +201,8 @@ class M2FCN:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy ``state`` into the existing parameters (the trainer's rollback)."""
+        """Copy ``state`` into the existing parameters (the trainer's rollback),
+        each value cast to its parameter's dtype."""
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
@@ -195,16 +211,16 @@ class M2FCN:
                 f"unexpected {sorted(extra)[:3]})"
             )
         for name, p in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.asarray(state[name])
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data[...] = arr
 
 
 def initial_values(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded starting values of every parameter, in ``parameter_shapes``
-    order: one seed per stage from ``SeedSequence(seed)``, equal fusion
-    weights 1/N."""
+    """Seeded float32 starting values of every parameter, in
+    ``parameter_shapes`` order: one seed per stage from ``SeedSequence(seed)``,
+    equal fusion weights 1/N."""
     n = len(config.subnet.levels)
     stage_seeds = np.random.SeedSequence(seed).generate_state(config.stages)
     values: dict[str, np.ndarray] = {}
@@ -212,7 +228,7 @@ def initial_values(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
         values.update(
             subnet_initial_values(config.stage_config(m), int(stage_seeds[m - 1]), f"stage{m}/")
         )
-        values[f"stage{m}/fuse/weight"] = np.full(n, 1.0 / n)
+        values[f"stage{m}/fuse/weight"] = np.full(n, 1.0 / n, dtype=np.float32)
     return values
 
 

@@ -3,8 +3,11 @@
 Convolution is cross-correlation (no kernel flip) plus bias, always at
 stride 1 with "same" padding; only 2x2 max pooling downsamples. Upsampling
 is a fixed-weight transposed convolution with a bilinear kernel applied per
-channel. All ops are exact float64 and deterministic. They take weights as
-plain tensors and keep none: the network's parameter registry owns them.
+channel. All ops are deterministic and follow their input's dtype: every
+array they allocate, the bilinear kernel included, takes the dtype of the
+map they read, so float32 maps stay float32 and float64 maps give float64
+bytes. Ops take weights as plain tensors and keep none: the network's
+parameter registry owns them.
 
 A convolution with a kernel larger than 1x1 multiplies its weight with an
 im2col column block built one band of output rows at a time, in the forward
@@ -88,7 +91,7 @@ def _band_cols(x: np.ndarray, kh: int, kw: int, r0: int, r1: int) -> np.ndarray:
     cx, h, w = x.shape
     if kh == kw == 1:
         return x.reshape(cx, h * w)
-    cols = np.zeros((cx, kh, kw, r1 - r0, w))
+    cols = np.zeros((cx, kh, kw, r1 - r0, w), dtype=x.dtype)
     for band_ix, map_ix in _tap_windows(h, w, kh, kw, r0, r1):
         cols[band_ix] = x[map_ix]
     return cols.reshape(cx * kh * kw, (r1 - r0) * w)
@@ -120,7 +123,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     wmat = weight.data.reshape(o, cx * kh * kw)
     bands = _row_bands(x.shape, weight.shape)
-    out = np.empty((o, h * w))
+    out = np.empty((o, h * w), dtype=x.data.dtype)
     for r0, r1 in bands:
         np.matmul(wmat, _band_cols(x.data, kh, kw, r0, r1), out=out[:, r0 * w : r1 * w])
     if bias is not None:
@@ -144,7 +147,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=1), owned=True)
             if x.requires_grad:
-                dx = np.zeros((cx, h, w))
+                dx = np.zeros_like(x.data)
                 for r0, r1 in bands:
                     dcols = (wmat.T @ g[:, r0 * w : r1 * w]).reshape(cx, kh, kw, r1 - r0, w)
                     for band_ix, map_ix in _tap_windows(h, w, kh, kw, r0, r1):
@@ -179,7 +182,7 @@ def maxpool2(x: Tensor) -> Tensor:
     if res.requires_grad:
 
         def _bw(grad):
-            dwin = np.zeros((c, h2, w2, 4))
+            dwin = np.zeros((c, h2, w2, 4), dtype=x.data.dtype)
             np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
             dxp = dwin.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, hp, wp)
             dx = dxp[:, :h, :w].copy()
@@ -219,12 +222,14 @@ def upsample(x: Tensor, factor: int, out_hw: tuple[int, int] | None = None) -> T
         raise ValueError(f"upsample input must be CxHxW, got {x.shape}")
     c, h, w = x.shape
     k1 = bilinear_kernel(factor)
-    wd = np.outer(k1, k1)
+    # In the input's dtype: a float64 kernel entry would promote a float32
+    # map to float64.
+    wd = np.outer(k1, k1).astype(x.data.dtype)
     k = k1.size
     pad = (k - factor) // 2
 
     full_h, full_w = (h - 1) * factor + k, (w - 1) * factor + k
-    full = np.zeros((c, full_h, full_w))
+    full = np.zeros((c, full_h, full_w), dtype=x.data.dtype)
     for ki in range(k):
         for kj in range(k):
             full[:, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor] += (
@@ -239,7 +244,7 @@ def upsample(x: Tensor, factor: int, out_hw: tuple[int, int] | None = None) -> T
     if res.requires_grad:
 
         def _bw(grad):
-            gfull = np.zeros((c, full_h, full_w))
+            gfull = np.zeros((c, full_h, full_w), dtype=x.data.dtype)
             gfull[:, pad : pad + th, pad : pad + tw] = grad
             dx = np.zeros_like(x.data)
             for ki in range(k):

@@ -61,25 +61,28 @@ class SGD:
     Parameters with requires_grad False are never touched. A parameter the
     last backward never reached contributes a zero gradient (decay and
     momentum still apply). Every tensor is updated in place, slice by slice
-    through one scratch buffer of at most ``_STEP_CHUNK`` elements, with the
-    roundings of the expression above in its order, so the step allocates
-    nothing parameter-sized.
+    through one scratch buffer of at most ``_STEP_CHUNK`` elements in the
+    parameters' dtype, with the roundings of the expression above in its
+    order, so the step allocates nothing parameter-sized. The rates are kept
+    as Python floats, which numpy applies in the array's dtype, so float32
+    parameters step in float32.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
                  weight_decay: float = 0.0):
         _check_rates("", {"lr": lr}, momentum, weight_decay)
         self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.lr = float(lr)
+        self.momentum = float(momentum)
+        self.weight_decay = float(weight_decay)
         self.velocity = {
             name: np.zeros_like(p.data)
             for name, p in params.items()
             if p.requires_grad
         }
         longest = max((v.size for v in self.velocity.values()), default=0)
-        self._scratch = np.empty(min(longest, _STEP_CHUNK))
+        dtype = np.result_type(np.float32, *self.velocity.values())
+        self._scratch = np.empty(min(longest, _STEP_CHUNK), dtype=dtype)
 
     def step(self) -> None:
         """One update; a non-finite gradient raises before any parameter moves."""

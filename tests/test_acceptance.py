@@ -23,7 +23,7 @@ from m2fcn.evaluation import (
     segment_from_boundary,
 )
 from m2fcn.loss import BoundaryLabels, class_balance_beta, total_loss
-from m2fcn.network import build_network
+from m2fcn.network import M2FCN, build_network, initial_values
 from m2fcn.ops import concat_channels, conv2d, maxpool2, relu, sigmoid, upsample
 from m2fcn.subnet import receptive_field
 from m2fcn.training import pretrain_stage1, train_pipeline
@@ -67,7 +67,7 @@ def test_criterion_gradient_suite():
             worst = max(worst, grad_check(fn, params, seed=seed))
 
         # the full 2-stage toy-profile network through the complete loss
-        net = build_network(TOY.network, seed=seed)
+        net = M2FCN(TOY.network, {k: v.astype(np.float64) for k, v in initial_values(TOY.network, seed).items()})
         for p in net.parameters().values():
             p.data += rng.normal(0.0, 0.05, p.data.shape)
         img = Tensor(rng.uniform(0.0, 1.0, (1, 12, 11)))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2fcn.checkpoint import (
+    DTYPES,
     MAGIC,
     VERSION,
     CheckpointError,
@@ -23,8 +24,9 @@ from m2fcn.checkpoint import (
     network_from_checkpoint,
     save_checkpoint,
 )
+from m2fcn.autodiff import Tensor
 from m2fcn.data import Sample
-from m2fcn.network import NetworkConfig, build_network
+from m2fcn.network import M2FCN, NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
 from m2fcn.training import TrainSchedule, train
 
@@ -43,11 +45,33 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("checkpoints")
 
 
+def state64(seed=3) -> dict[str, np.ndarray]:
+    return {k: v.astype(np.float64) for k, v in build_network(CFG, seed).state().items()}
+
+
+def pack_v2(config: NetworkConfig, state) -> bytes:
+    """A version-2 file: no dtype field, float64 values."""
+    cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
+    blob = MAGIC + struct.pack("<II", 2, len(cfg)) + cfg + struct.pack("<I", len(state))
+    for name, arr in state.items():
+        blob += struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
+        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return blob
+
+
 @pytest.fixture(scope="module")
 def valid(workdir) -> bytes:
     path = workdir / "valid.m2f"
     save_checkpoint(path, CFG, build_network(CFG, seed=3).state())
     return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_files(workdir, valid) -> list[bytes]:
+    """The float32 file, a float64 file and a version-2 file of one network."""
+    path = workdir / "valid64.m2f"
+    save_checkpoint(path, CFG, state64())
+    return [valid, path.read_bytes(), pack_v2(CFG, state64())]
 
 
 def load_blob(workdir, blob: bytes):
@@ -58,11 +82,11 @@ def load_blob(workdir, blob: bytes):
     return load_checkpoint(path)
 
 
-def pack(config, tensors=()) -> bytes:
-    """A checkpoint of the current version with a raw config block and raw
-    (name bytes, dims, value bytes) tensor records."""
+def pack(config, tensors=(), code=b"<f8") -> bytes:
+    """A checkpoint of the current version with a raw element type, a raw
+    config block and raw (name bytes, dims, value bytes) tensor records."""
     cfg = config if isinstance(config, bytes) else json.dumps(config).encode()
-    blob = MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg
+    blob = MAGIC + struct.pack("<I", VERSION) + code + struct.pack("<I", len(cfg)) + cfg
     blob += struct.pack("<I", len(tensors))
     for name, dims, values in tensors:
         blob += struct.pack("<H", len(name)) + name
@@ -74,18 +98,53 @@ GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "a
 
 
 def test_round_trip(tmp_path):
-    net = build_network(CFG, seed=3)
-    path = tmp_path / "model.m2f"
-    save_checkpoint(path, CFG, net.state())
-    assert path.read_bytes()[4:8] == struct.pack("<I", 2)
-    config, state = load_checkpoint(path)
-    assert config == CFG
-    assert state.keys() == net.parameters().keys()
-    for name, value in net.state().items():
-        assert state[name].tobytes() == value.tobytes()
-    back = network_from_checkpoint(path)
-    for name, value in net.state().items():
-        assert back.parameters()[name].data.tobytes() == value.tobytes()
+    for dtype, code in ((np.float32, b"<f4"), (np.float64, b"<f8")):
+        net = M2FCN(CFG, {k: v.astype(dtype) for k, v in build_network(CFG, seed=3).state().items()})
+        path = tmp_path / f"{code[1:].decode()}.m2f"
+        save_checkpoint(path, CFG, net.state())
+        assert path.read_bytes()[4:11] == struct.pack("<I", 3) + code
+        config, state = load_checkpoint(path)
+        assert config == CFG
+        assert state.keys() == net.parameters().keys()
+        for name, value in net.state().items():
+            assert state[name].dtype == dtype and state[name].tobytes() == value.tobytes()
+        back = network_from_checkpoint(path)
+        assert back.dtype == dtype
+        for name, value in net.state().items():
+            assert back.parameters()[name].data.tobytes() == value.tobytes()
+
+
+def test_float32_file_holds_half_the_value_bytes(tmp_path):
+    values = sum(v.size for v in state64().values())
+    sizes = []
+    for dtype in (np.float32, np.float64):
+        path = tmp_path / f"{np.dtype(dtype).name}.m2f"
+        save_checkpoint(path, CFG, {k: v.astype(dtype) for k, v in state64().items()})
+        sizes.append(path.stat().st_size)
+    assert sizes[1] - sizes[0] == 4 * values
+
+
+def test_version_2_file_loads_byte_for_byte(workdir):
+    state = state64()
+    path = workdir / "v2.m2f"
+    path.write_bytes(pack_v2(CFG, state))
+    config, loaded = load_checkpoint(path)
+    assert config == CFG and loaded.keys() == state.keys()
+    for name, value in state.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].tobytes() == value.tobytes()
+    net = network_from_checkpoint(path)
+    assert net.dtype == np.float64
+    img = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 8, 8)))
+    assert net.predict(img).tobytes() == M2FCN(CFG, state).predict(img).tobytes()
+
+
+def test_mixed_dtype_state_rejected_before_writing(tmp_path):
+    state = build_network(CFG, seed=3).state()
+    state["stage2/fuse/weight"] = state["stage2/fuse/weight"].astype(np.float64)
+    path = tmp_path / "mixed.m2f"
+    with pytest.raises(CheckpointError, match="mixes float32"):
+        save_checkpoint(path, CFG, state)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_makes_no_random_draws(tmp_path, monkeypatch):
@@ -108,7 +167,7 @@ def test_loaded_parameters_are_writable_separate_arrays(tmp_path):
     save_checkpoint(path, CFG, build_network(CFG, seed=3).state())
     arrays = [p.data for p in network_from_checkpoint(path).parameters().values()]
     for i, a in enumerate(arrays):
-        assert a.flags.writeable and a.flags.c_contiguous and a.dtype == np.float64
+        assert a.flags.writeable and a.flags.c_contiguous and a.dtype == np.float32
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
@@ -140,10 +199,11 @@ def test_non_finite_tensor_rejected(tmp_path, bad):
 @pytest.mark.parametrize(
     "blob",
     [
-        MAGIC + struct.pack("<II", VERSION, 0xFFFFFFFF) + b"{}",
+        MAGIC + struct.pack("<I", VERSION) + b"<f8" + struct.pack("<I", 0xFFFFFFFF) + b"{}",
         pack(GOOD, [(b"w", (4096, 4096), bytes(8))]),
+        pack(GOOD, [(b"w", (4096, 4096), bytes(8))], code=b"<f4"),
     ],
-    ids=["config-length", "tensor-length"],
+    ids=["config-length", "tensor-length", "tensor-length-f4"],
 )
 def test_declared_lengths_past_the_end_allocate_nothing(workdir, blob):
     tracemalloc.start()
@@ -164,6 +224,39 @@ def test_bad_magic(workdir, valid):
 def test_version_1_file_rejected(workdir, valid):
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_blob(workdir, valid[:4] + struct.pack("<I", 1) + valid[8:])
+
+
+def test_version_4_file_rejected(workdir, valid):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 4"):
+        load_blob(workdir, valid[:4] + struct.pack("<I", 4) + valid[8:])
+
+
+@pytest.mark.parametrize("code", [b"<f2", b">f8", b">f4", b"<i8", b"<c8", b"f8\0", b"\0\0\0"])
+def test_unknown_element_type_rejected(workdir, code):
+    with pytest.raises(CheckpointError, match="unknown element type"):
+        load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))], code=code))
+
+
+@given(st.binary(min_size=3, max_size=3).filter(lambda code: code not in DTYPES))
+@settings(max_examples=100, deadline=None)
+def test_any_other_element_type_rejected(workdir, code):
+    with pytest.raises(CheckpointError, match="unknown element type"):
+        load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))], code=code))
+
+
+@pytest.mark.parametrize("code, nbytes, error", [
+    (b"<f4", 8, None), (b"<f4", 16, "trailing bytes"), (b"<f4", 4, "truncated"),
+    (b"<f8", 16, None), (b"<f8", 8, "truncated"), (b"<f8", 24, "trailing bytes"),
+])
+def test_size_claims_use_the_element_size(workdir, code, nbytes, error):
+    blob = pack(GOOD, [(b"w", (2, 1), np.arange(nbytes, dtype=np.uint8).tobytes())], code=code)
+    if error is not None:
+        with pytest.raises(CheckpointError, match=error):
+            load_blob(workdir, blob)
+        return
+    _, state = load_blob(workdir, blob)
+    assert state["w"].dtype == np.dtype(code.decode()) and state["w"].shape == (2, 1)
+    assert state["w"].tobytes() == bytes(range(nbytes))
 
 
 def test_every_truncated_prefix_rejected(workdir, valid):
@@ -239,23 +332,39 @@ def test_extra_tensor_rejected(workdir, valid):
 
 def test_pack_builds_loadable_files(workdir):
     # The crafted cases above differ from this one only in what they break.
-    config, state = load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))]))
-    assert config.stages == 1
-    assert state["w"].shape == (2, 1)
+    for code in DTYPES:
+        itemsize = np.dtype(code.decode()).itemsize
+        config, state = load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(2 * itemsize))], code=code))
+        assert config.stages == 1
+        assert state["w"].shape == (2, 1) and state["w"].dtype == np.dtype(code.decode())
 
 
-# Half the flips land in the first 256 bytes, where the header, the config
-# block and the first tensor records are.
+# Half the flips land in the first 256 bytes, where the header with its
+# element type, the config block and the first tensor records are.
 POSITIONS = st.one_of(st.integers(0, 255), st.integers(0, 1 << 20))
 
 
 @given(st.lists(st.tuples(POSITIONS, st.integers(1, 255)), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_byte_flips_raise_only_checkpoint_error(workdir, valid, flips):
+def test_byte_flips_raise_only_checkpoint_error(workdir, valid_files, flips):
+    # The same flips in a float32, a float64 and a version-2 file.
+    for valid in valid_files:
+        blob = bytearray(valid)
+        for pos, mask in flips:
+            blob[pos % len(blob)] ^= mask
+        try:
+            load_blob(workdir, bytes(blob))
+        except CheckpointError:
+            pass
+
+
+@given(st.integers(8, 10), st.integers(1, 255))
+@settings(max_examples=100, deadline=None)
+def test_flipped_element_type_rejected(workdir, valid, pos, mask):
     blob = bytearray(valid)
-    for pos, mask in flips:
-        blob[pos % len(blob)] ^= mask
-    try:
+    blob[pos] ^= mask
+    # b"<f4" flips to b"<f8" by one mask; the file then misreads its own
+    # records, which must still fail as a CheckpointError.
+    error = None if bytes(blob[8:11]) in DTYPES else "unknown element type"
+    with pytest.raises(CheckpointError, match=error):
         load_blob(workdir, bytes(blob))
-    except CheckpointError:
-        pass

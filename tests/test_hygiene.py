@@ -157,3 +157,35 @@ def test_unused_definition_check_flags_dead_code(tmp_path):
         "x = Box\n"
     )
     assert _unreferenced([src], [src]) == ["mod.dead", "mod.recursive"]
+
+
+# Modules whose arrays follow their inputs' dtype. An allocation that names
+# no dtype is float64, and a float32 network's maps and gradients would be
+# promoted through it.
+DTYPE_FOLLOWING = ("ops", "autodiff", "loss", "training")
+ALLOCATORS = {"zeros", "empty", "ones", "full"}
+
+
+def _untyped_allocations(tree) -> list[int]:
+    """Lines of ``np.zeros``/``empty``/``ones``/``full`` calls without a
+    ``dtype=`` keyword; the ``*_like`` calls take their argument's dtype."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and node.func.attr in ALLOCATORS
+        and not any(k.arg == "dtype" for k in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("stem", DTYPE_FOLLOWING)
+def test_allocations_name_their_dtype(stem):
+    path = next(p for p in MODULES if p.stem == stem)
+    lines = _untyped_allocations(_tree(path))
+    assert not lines, f"{path.name} allocates float64 by default on lines {lines}"
+
+
+def test_allocation_check_flags_untyped_calls():
+    src = ("np.zeros(3)\nnp.zeros(3, dtype=x.dtype)\nnp.zeros_like(x)\n"
+           "np.full(2, 1.0)\nnp.empty((2,), np.float32)\nnp.ones(n, dtype=np.float64)\n")
+    assert _untyped_allocations(ast.parse(src)) == [1, 4, 5]

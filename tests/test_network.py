@@ -228,7 +228,8 @@ def stage_inputs(net: M2FCN, image: Tensor) -> list[Tensor]:
 def test_stage_input_channel_counts():
     # Stage 1 sees the image itself; stage 2 sees the image plus the chosen
     # sigmoid side maps of stage 1.
-    img = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 6, 6)))
+    # In the network's dtype, so stage 1 reads the image tensor itself.
+    img = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 6, 6)).astype(np.float32))
     net = perturbed(build_network(toy_config(), seed=2))
     first, second = stage_inputs(net, img)
     assert first is img
@@ -343,6 +344,50 @@ def test_network_rejects_missing_or_misshapen_values():
     # Keys the config does not name are left alone.
     values = {**initial_values(cfg, seed=20), "stage3/fuse/weight": np.ones(3)}
     assert "stage3/fuse/weight" not in M2FCN(cfg, values).parameters()
+
+
+def test_initial_values_are_float32():
+    cfg = toy_config()
+    values = initial_values(cfg, seed=21)
+    assert {v.dtype for v in values.values()} == {np.dtype(np.float32)}
+    net = M2FCN(cfg, values)
+    assert net.dtype == np.float32
+    assert all(p.data is values[k] for k, p in net.parameters().items())
+    # Trunk weights ~ N(0, 2 / fan-in): 16 x 16 x 3 x 3 entries, fan-in 144.
+    w = values["stage1/level3/conv1/weight"]
+    assert abs(w.std() * np.sqrt(144 / 2) - 1.0) < 0.05
+
+
+def test_network_rejects_mixed_dtypes():
+    cfg = toy_config()
+    values = initial_values(cfg, seed=22)
+    values["stage2/head1/bias"] = values["stage2/head1/bias"].astype(np.float64)
+    with pytest.raises(ValueError, match="mix dtypes"):
+        M2FCN(cfg, values)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_runs_in_the_network_dtype(dtype):
+    cfg = toy_config()
+    net = perturbed(M2FCN(cfg, {k: v.astype(dtype) for k, v in initial_values(cfg, 23).items()}))
+    assert net.dtype == dtype
+    pixels = np.random.default_rng(4).uniform(0, 1, (1, 8, 8))
+    for image in (Tensor(pixels), Tensor(pixels.astype(np.float32))):
+        outs = net.forward_all(image)
+        assert {t.data.dtype for t in [*outs.side.values(), *outs.fused.values()]} == {np.dtype(dtype)}
+        assert net.predict(image).dtype == dtype
+    # A float64 image is cast once, to the bytes of one cast up front.
+    assert np.array_equal(net.predict(Tensor(pixels)), net.predict(Tensor(pixels.astype(dtype))))
+
+
+def test_load_state_casts_into_each_parameter():
+    net = build_network(toy_config(), seed=24)
+    arrays = {k: p.data for k, p in net.parameters().items()}
+    state64 = {k: v.astype(np.float64) + 0.5 for k, v in perturbed(build_network(toy_config(), seed=25)).state().items()}
+    net.load_state(state64)
+    for k, p in net.parameters().items():
+        assert p.data is arrays[k] and p.data.dtype == np.float32
+        assert np.array_equal(p.data, state64[k].astype(np.float32))
 
 
 def test_state_roundtrip_and_strictness():

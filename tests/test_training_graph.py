@@ -6,6 +6,8 @@ still be the bytes of the sweep that zero-fills every node up front
 (``oracles.eager_backward``), and the graph must stay re-usable. The
 objective is one ``side_loss`` over the stack of every map; its value and
 gradients must be the bytes of one ``side_loss`` node per map chained by adds.
+A float32 network keeps every map and gradient in float32, and its
+gradients stay within float32 rounding of the same network's in float64.
 """
 
 from functools import reduce
@@ -16,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m2fcn import autodiff, loss, ops
 from m2fcn.autodiff import Tensor, _toposort
+from m2fcn.data import Sample
 from m2fcn.loss import BoundaryLabels, class_balance_beta, side_loss, total_loss
 from m2fcn.network import M2FCN, NetworkConfig, build_network
 from m2fcn.ops import conv2d
 from m2fcn.subnet import parameter_shapes
-from m2fcn.training import freeze_stage
+from m2fcn.training import TrainSchedule, freeze_stage, train
 from oracles import eager_backward
 from test_network import PAPER_SMALL, TOY_SUBNET, _traced_peak, perturbed
 from test_tracer import load_tracing
@@ -154,3 +158,69 @@ def test_second_sweep_gives_the_same_gradients():
     root.backward()
     for k, p in trainable(net).items():
         assert p.grad.tobytes() == first[k].tobytes(), k
+
+
+# ---- float32 ----
+
+# Largest |float32 - float64| gradient entry of a parameter, relative to the
+# tensor's largest float64 entry. float32 rounds at 6e-8 relative; through
+# the toy and small-paper graphs the measured worst was 8e-6. A dropped or
+# doubled term would be of order 1.
+FLOAT32_GRADIENT_TOLERANCE = 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_float32_gradients_match_float64_gradients(name):
+    net, image, _ = training_graph(name, 5, (20, 18))
+    labels = BoundaryLabels.from_mask(np.random.default_rng(7).random((20, 18)) < 0.3)
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        # The float32 values are exact in float64: both sweeps see one network.
+        twin = M2FCN(net.config, {k: v.astype(dtype) for k, v in net.state().items()})
+        if name == "toy-stepwise":
+            freeze_stage(twin, 1)
+        total_loss(twin.forward_all(image), labels, twin.config).backward()
+        grads[dtype] = {k: p.grad for k, p in trainable(twin).items()}
+    assert grads[np.float32].keys() == grads[np.float64].keys() and len(grads[np.float32]) > 0
+    for k, g64 in grads[np.float64].items():
+        g32 = grads[np.float32][k]
+        assert g32.dtype == np.float32 and g64.dtype == np.float64, k
+        err = np.abs(g32 - g64).max() / np.abs(g64).max()
+        assert err <= FLOAT32_GRADIENT_TOLERANCE, f"{k}: {err:.2e}"
+
+
+def test_float32_training_iteration_stays_float32(monkeypatch):
+    # A float64 array anywhere in the iteration would promote what follows
+    # it. The objective's value is the one float64 node, by design.
+    outputs, losses, grads = [], [], []
+
+    def recorder(module, into):
+        result = module._result
+
+        def recording_result(*args, **kwargs):
+            out = result(*args, **kwargs)
+            into.append(out.data.dtype)
+            return out
+
+        monkeypatch.setattr(module, "_result", recording_result)
+        accumulate = module._accumulate
+
+        def recording_accumulate(node, *args, **kwargs):
+            accumulate(node, *args, **kwargs)
+            grads.append(node.grad.dtype)
+
+        monkeypatch.setattr(module, "_accumulate", recording_accumulate)
+
+    for module, into in ((autodiff, outputs), (ops, outputs), (loss, losses)):
+        recorder(module, into)
+    net = build_network(CONFIGS["toy-all"], seed=6)
+    rng = np.random.default_rng(6)
+    sample = Sample(rng.uniform(0.0, 1.0, (1, 16, 16)), rng.random((16, 16)) < 0.3)
+    result = train(net, [sample], TrainSchedule(phase2_iters=1))
+    assert len(result.log) == 1 and not result.aborted
+    assert len(outputs) > 50 and set(outputs) == {np.dtype(np.float32)}
+    assert len(grads) > 50 and set(grads) == {np.dtype(np.float32)}
+    # One side_loss over the stack, then one per fused map for the log.
+    assert losses == [np.dtype(np.float64)] * 3
+    params = net.parameters().values()
+    assert all(p.data.dtype == np.float32 and p.grad.dtype == np.float32 for p in params)
