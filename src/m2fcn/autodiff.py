@@ -1,7 +1,7 @@
 """Float32 or float64 tensors plus a reverse-mode differentiation graph.
 
 A tensor keeps a float32 array as float32 and makes anything else float64.
-Networks compute in float32, the dtype ``initial_values`` draws, and every
+Networks compute in float32, the dtype ``initial_values`` returns, and every
 op follows its input's dtype, so a float64 network computes in float64
 throughout; gradient checks run there. A gradient has its node's dtype.
 

@@ -4,18 +4,16 @@ Layout (all integers little-endian):
 
     magic   4 bytes  b"M2FC"
     version u32      currently 3
-    dtype   3 bytes  element type of every tensor: b"<f4" or b"<f8"
     cfg_len u32      length of the UTF-8 JSON network config
     config  cfg_len bytes
     count   u32      number of tensors
     per tensor:
         name_len u16, name bytes (UTF-8)
         ndim u8, dims u32 * ndim
-        values of the element type, little-endian, row-major
+        values float32 little-endian, row-major
 
-A float32 network is written as ``<f4``, at half the bytes of ``<f8``.
-Version 2 is version 3 without the dtype field, always ``<f8``; such files
-still load, as float64 networks.
+Version 2 is the same layout with float64 values, at twice the bytes; such
+files still load, as float64 networks.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "network_fro
 
 MAGIC = b"M2FC"
 VERSION = 3
-# Element types a file may declare; version 2 files hold float64 only.
-DTYPES = (b"<f4", b"<f8")
+# The element type of each version's values.
+ELEMENTS = {2: np.dtype("<f8"), VERSION: np.dtype("<f4")}
 
 
 class CheckpointError(ValueError):
@@ -43,22 +41,13 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: NetworkConfig, state: dict[str, np.ndarray]) -> None:
-    """Write the file through its .partial name, one tensor at a time.
-
-    The element type is ``<f4`` when every tensor is float32 and ``<f8``
-    when none is, as ``Tensor`` would hold them; a state that mixes float32
-    with anything else raises CheckpointError before the file is opened.
-    """
-    float32 = [np.asarray(arr).dtype == np.float32 for arr in state.values()]
-    if any(float32) and not all(float32):
-        raise CheckpointError("checkpoint state mixes float32 with other dtypes")
-    code = DTYPES[0] if any(float32) else DTYPES[1]
+    """Write the file through its .partial name, one tensor at a time, as
+    float32 values: a float64 state is rounded."""
     cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
     with atomic_open(path) as fh:
-        fh.write(MAGIC + struct.pack("<I", VERSION) + code + struct.pack("<I", len(cfg)) + cfg
-                 + struct.pack("<I", len(state)))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg + struct.pack("<I", len(state)))
         for name, arr in state.items():
-            a = np.ascontiguousarray(arr, dtype=code.decode())
+            a = np.ascontiguousarray(arr, dtype=ELEMENTS[VERSION])
             encoded = name.encode()
             fh.write(struct.pack(f"<H{len(encoded)}sB{a.ndim}I",
                                  len(encoded), encoded, a.ndim, *a.shape))
@@ -69,7 +58,7 @@ def load_checkpoint(path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     """Parse a checkpoint; an unreadable file or any malformed content
     raises CheckpointError.
 
-    Every length, in elements of the declared type, is checked against
+    Every length, in elements of the version's type, is checked against
     the file size before anything is read or allocated, and each tensor's
     values are read straight into a fresh array of their own, of that type.
     """
@@ -99,12 +88,9 @@ def _parse(fh, size: int, path) -> tuple[NetworkConfig, dict[str, np.ndarray]]:
     if take(4) != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
-    if version not in (2, VERSION):
+    if version not in ELEMENTS:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    code = take(3) if version == VERSION else DTYPES[1]
-    if code not in DTYPES:
-        raise CheckpointError(f"unknown element type {code!r} in {path}")
-    dtype = np.dtype(code.decode())
+    dtype = ELEMENTS[version]
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
         config = NetworkConfig.from_dict(json.loads(take(cfg_len).decode()))

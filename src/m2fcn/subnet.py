@@ -80,15 +80,17 @@ def parameter_shapes(config: SubNetConfig) -> Iterator[tuple[str, tuple[int, ...
 def initial_values(config: SubNetConfig, seed: int, prefix: str = "") -> dict[str, np.ndarray]:
     """Seeded float32 starting values, keyed by ``prefix`` +
     ``parameter_shapes`` name and drawn in that order: trunk weights ~
-    Normal(0, sqrt(2 / fan-in)), biases and side heads zero."""
+    Normal(0, sqrt(2 / fan-in)), biases and side heads zero.
+
+    Each weight is drawn in float64 and rounded to float32, one tensor at a
+    time, so a seed gives the float64 network it always gave, rounded.
+    """
     rng = np.random.default_rng(seed)
     values = {}
     for name, shape in parameter_shapes(config):
         if name.startswith("level") and name.endswith("/weight"):
-            # Drawn in float32 and scaled in place: no float64 draw to cast.
-            weight = rng.standard_normal(shape, dtype=np.float32)
-            weight *= math.sqrt(2.0 / math.prod(shape[1:]))
-            values[prefix + name] = weight
+            std = np.sqrt(2.0 / math.prod(shape[1:]))
+            values[prefix + name] = rng.normal(0.0, std, shape).astype(np.float32)
         else:
             values[prefix + name] = np.zeros(shape, dtype=np.float32)
     return values

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2fcn.checkpoint import (
-    DTYPES,
     MAGIC,
     VERSION,
     CheckpointError,
@@ -49,16 +48,6 @@ def state64(seed=3) -> dict[str, np.ndarray]:
     return {k: v.astype(np.float64) for k, v in build_network(CFG, seed).state().items()}
 
 
-def pack_v2(config: NetworkConfig, state) -> bytes:
-    """A version-2 file: no dtype field, float64 values."""
-    cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
-    blob = MAGIC + struct.pack("<II", 2, len(cfg)) + cfg + struct.pack("<I", len(state))
-    for name, arr in state.items():
-        blob += struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return blob
-
-
 @pytest.fixture(scope="module")
 def valid(workdir) -> bytes:
     path = workdir / "valid.m2f"
@@ -67,11 +56,9 @@ def valid(workdir) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def valid_files(workdir, valid) -> list[bytes]:
-    """The float32 file, a float64 file and a version-2 file of one network."""
-    path = workdir / "valid64.m2f"
-    save_checkpoint(path, CFG, state64())
-    return [valid, path.read_bytes(), pack_v2(CFG, state64())]
+def valid_files(valid) -> list[bytes]:
+    """The current file and a version-2 file of one network."""
+    return [valid, pack_v2(CFG, state64())]
 
 
 def load_blob(workdir, blob: bytes):
@@ -82,11 +69,11 @@ def load_blob(workdir, blob: bytes):
     return load_checkpoint(path)
 
 
-def pack(config, tensors=(), code=b"<f8") -> bytes:
-    """A checkpoint of the current version with a raw element type, a raw
-    config block and raw (name bytes, dims, value bytes) tensor records."""
+def pack(config, tensors=(), version=VERSION) -> bytes:
+    """A checkpoint with a raw config block and raw (name bytes, dims,
+    value bytes) tensor records."""
     cfg = config if isinstance(config, bytes) else json.dumps(config).encode()
-    blob = MAGIC + struct.pack("<I", VERSION) + code + struct.pack("<I", len(cfg)) + cfg
+    blob = MAGIC + struct.pack("<II", version, len(cfg)) + cfg
     blob += struct.pack("<I", len(tensors))
     for name, dims, values in tensors:
         blob += struct.pack("<H", len(name)) + name
@@ -94,34 +81,38 @@ def pack(config, tensors=(), code=b"<f8") -> bytes:
     return blob
 
 
+def pack_v2(config: NetworkConfig, state) -> bytes:
+    """A version-2 file: the same layout with float64 values."""
+    return pack(config.to_dict(), [(name.encode(), arr.shape, arr.astype("<f8").tobytes())
+                                   for name, arr in state.items()], version=2)
+
+
 GOOD = {"stages": 1, "input_channels": 1, "levels": [[1, 2, 3]], "recursive": "all"}
 
 
 def test_round_trip(tmp_path):
-    for dtype, code in ((np.float32, b"<f4"), (np.float64, b"<f8")):
+    # A float64 state is stored as its float32 rounding.
+    for dtype in (np.float32, np.float64):
         net = M2FCN(CFG, {k: v.astype(dtype) for k, v in build_network(CFG, seed=3).state().items()})
-        path = tmp_path / f"{code[1:].decode()}.m2f"
+        path = tmp_path / f"{np.dtype(dtype).name}.m2f"
         save_checkpoint(path, CFG, net.state())
-        assert path.read_bytes()[4:11] == struct.pack("<I", 3) + code
+        assert path.read_bytes()[4:8] == struct.pack("<I", 3)
         config, state = load_checkpoint(path)
         assert config == CFG
         assert state.keys() == net.parameters().keys()
-        for name, value in net.state().items():
-            assert state[name].dtype == dtype and state[name].tobytes() == value.tobytes()
         back = network_from_checkpoint(path)
-        assert back.dtype == dtype
+        assert back.dtype == np.float32
         for name, value in net.state().items():
-            assert back.parameters()[name].data.tobytes() == value.tobytes()
+            stored = value.astype(np.float32).tobytes()
+            assert state[name].dtype == np.float32 and state[name].tobytes() == stored
+            assert back.parameters()[name].data.tobytes() == stored
 
 
-def test_float32_file_holds_half_the_value_bytes(tmp_path):
+def test_file_holds_half_the_value_bytes_of_version_2(tmp_path):
     values = sum(v.size for v in state64().values())
-    sizes = []
-    for dtype in (np.float32, np.float64):
-        path = tmp_path / f"{np.dtype(dtype).name}.m2f"
-        save_checkpoint(path, CFG, {k: v.astype(dtype) for k, v in state64().items()})
-        sizes.append(path.stat().st_size)
-    assert sizes[1] - sizes[0] == 4 * values
+    path = tmp_path / "model.m2f"
+    save_checkpoint(path, CFG, state64())
+    assert len(pack_v2(CFG, state64())) - path.stat().st_size == 4 * values
 
 
 def test_version_2_file_loads_byte_for_byte(workdir):
@@ -136,15 +127,6 @@ def test_version_2_file_loads_byte_for_byte(workdir):
     assert net.dtype == np.float64
     img = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 8, 8)))
     assert net.predict(img).tobytes() == M2FCN(CFG, state).predict(img).tobytes()
-
-
-def test_mixed_dtype_state_rejected_before_writing(tmp_path):
-    state = build_network(CFG, seed=3).state()
-    state["stage2/fuse/weight"] = state["stage2/fuse/weight"].astype(np.float64)
-    path = tmp_path / "mixed.m2f"
-    with pytest.raises(CheckpointError, match="mixes float32"):
-        save_checkpoint(path, CFG, state)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_makes_no_random_draws(tmp_path, monkeypatch):
@@ -199,11 +181,11 @@ def test_non_finite_tensor_rejected(tmp_path, bad):
 @pytest.mark.parametrize(
     "blob",
     [
-        MAGIC + struct.pack("<I", VERSION) + b"<f8" + struct.pack("<I", 0xFFFFFFFF) + b"{}",
+        MAGIC + struct.pack("<II", VERSION, 0xFFFFFFFF) + b"{}",
         pack(GOOD, [(b"w", (4096, 4096), bytes(8))]),
-        pack(GOOD, [(b"w", (4096, 4096), bytes(8))], code=b"<f4"),
+        pack(GOOD, [(b"w", (4096, 4096), bytes(8))], version=2),
     ],
-    ids=["config-length", "tensor-length", "tensor-length-f4"],
+    ids=["config-length", "tensor-length", "tensor-length-v2"],
 )
 def test_declared_lengths_past_the_end_allocate_nothing(workdir, blob):
     tracemalloc.start()
@@ -231,32 +213,29 @@ def test_version_4_file_rejected(workdir, valid):
         load_blob(workdir, valid[:4] + struct.pack("<I", 4) + valid[8:])
 
 
-@pytest.mark.parametrize("code", [b"<f2", b">f8", b">f4", b"<i8", b"<c8", b"f8\0", b"\0\0\0"])
-def test_unknown_element_type_rejected(workdir, code):
-    with pytest.raises(CheckpointError, match="unknown element type"):
-        load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))], code=code))
+def test_relabelled_version_rejected(workdir, valid):
+    # Read with the other version's element size, a file misreads its own
+    # records.
+    with pytest.raises(CheckpointError):
+        load_blob(workdir, valid[:4] + struct.pack("<I", 2) + valid[8:])
+    v2 = pack_v2(CFG, state64())
+    with pytest.raises(CheckpointError):
+        load_blob(workdir, v2[:4] + struct.pack("<I", VERSION) + v2[8:])
 
 
-@given(st.binary(min_size=3, max_size=3).filter(lambda code: code not in DTYPES))
-@settings(max_examples=100, deadline=None)
-def test_any_other_element_type_rejected(workdir, code):
-    with pytest.raises(CheckpointError, match="unknown element type"):
-        load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(16))], code=code))
-
-
-@pytest.mark.parametrize("code, nbytes, error", [
-    (b"<f4", 8, None), (b"<f4", 16, "trailing bytes"), (b"<f4", 4, "truncated"),
-    (b"<f8", 16, None), (b"<f8", 8, "truncated"), (b"<f8", 24, "trailing bytes"),
+@pytest.mark.parametrize("version, nbytes, error", [
+    (3, 8, None), (3, 16, "trailing bytes"), (3, 4, "truncated"),
+    (2, 16, None), (2, 8, "truncated"), (2, 24, "trailing bytes"),
 ])
-def test_size_claims_use_the_element_size(workdir, code, nbytes, error):
-    blob = pack(GOOD, [(b"w", (2, 1), np.arange(nbytes, dtype=np.uint8).tobytes())], code=code)
+def test_size_claims_use_the_element_size(workdir, version, nbytes, error):
+    blob = pack(GOOD, [(b"w", (2, 1), np.arange(nbytes, dtype=np.uint8).tobytes())], version=version)
     if error is not None:
         with pytest.raises(CheckpointError, match=error):
             load_blob(workdir, blob)
         return
     _, state = load_blob(workdir, blob)
-    assert state["w"].dtype == np.dtype(code.decode()) and state["w"].shape == (2, 1)
-    assert state["w"].tobytes() == bytes(range(nbytes))
+    assert state["w"].dtype == (np.float32 if version == 3 else np.float64)
+    assert state["w"].shape == (2, 1) and state["w"].tobytes() == bytes(range(nbytes))
 
 
 def test_every_truncated_prefix_rejected(workdir, valid):
@@ -332,22 +311,21 @@ def test_extra_tensor_rejected(workdir, valid):
 
 def test_pack_builds_loadable_files(workdir):
     # The crafted cases above differ from this one only in what they break.
-    for code in DTYPES:
-        itemsize = np.dtype(code.decode()).itemsize
-        config, state = load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(2 * itemsize))], code=code))
+    for version, itemsize in ((VERSION, 4), (2, 8)):
+        config, state = load_blob(workdir, pack(GOOD, [(b"w", (2, 1), bytes(2 * itemsize))], version=version))
         assert config.stages == 1
-        assert state["w"].shape == (2, 1) and state["w"].dtype == np.dtype(code.decode())
+        assert state["w"].shape == (2, 1) and state["w"].dtype.itemsize == itemsize
 
 
-# Half the flips land in the first 256 bytes, where the header with its
-# element type, the config block and the first tensor records are.
+# Half the flips land in the first 256 bytes, where the header, the config
+# block and the first tensor records are.
 POSITIONS = st.one_of(st.integers(0, 255), st.integers(0, 1 << 20))
 
 
 @given(st.lists(st.tuples(POSITIONS, st.integers(1, 255)), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_byte_flips_raise_only_checkpoint_error(workdir, valid_files, flips):
-    # The same flips in a float32, a float64 and a version-2 file.
+    # The same flips in a current and a version-2 file.
     for valid in valid_files:
         blob = bytearray(valid)
         for pos, mask in flips:
@@ -356,15 +334,3 @@ def test_byte_flips_raise_only_checkpoint_error(workdir, valid_files, flips):
             load_blob(workdir, bytes(blob))
         except CheckpointError:
             pass
-
-
-@given(st.integers(8, 10), st.integers(1, 255))
-@settings(max_examples=100, deadline=None)
-def test_flipped_element_type_rejected(workdir, valid, pos, mask):
-    blob = bytearray(valid)
-    blob[pos] ^= mask
-    # b"<f4" flips to b"<f8" by one mask; the file then misreads its own
-    # records, which must still fail as a CheckpointError.
-    error = None if bytes(blob[8:11]) in DTYPES else "unknown element type"
-    with pytest.raises(CheckpointError, match=error):
-        load_blob(workdir, bytes(blob))
