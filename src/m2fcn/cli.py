@@ -20,9 +20,9 @@ from .autodiff import Tensor, grad_check
 from .checkpoint import network_from_checkpoint, save_checkpoint
 from .config import PROFILES, RunConfig, load_run_config
 from .data import (
+    Augmented,
     DataError,
     Sample,
-    augment36,
     load_dataset,
     load_image,
     save_dataset,
@@ -60,16 +60,18 @@ def _resolve(args) -> RunConfig:
     return load_run_config(args.config, args.profile, overrides)
 
 
-def _train_samples(cfg: RunConfig, data_dir) -> list[Sample]:
+def _train_samples(cfg: RunConfig, data_dir) -> list[Sample] | Augmented:
     samples = [s for _, s in load_dataset(data_dir, "train")]
-    if cfg.data.augment:
-        samples = [aug for s in samples for aug in augment36(s)]
-    return samples
+    return Augmented(samples) if cfg.data.augment else samples
 
 
-def _predictions(net, entries):
+def _ground_truth(entries) -> list[LabelImage]:
+    gts = []
     for name, sample in entries:
-        yield name, net.predict(Tensor(sample.image))
+        if sample.segments is None:
+            raise DataError(f"sample {name} has no ground-truth segments to score")
+        gts.append(LabelImage(sample.segments))
+    return gts
 
 
 def cmd_synth(args) -> int:
@@ -88,7 +90,8 @@ def cmd_train(args) -> int:
     samples = _train_samples(cfg, args.data)
     out = Path(args.out)
     result, pre_log = train_pipeline(cfg.network, samples, cfg.schedule, out_dir=out)
-    save_checkpoint(out / "model.m2f", cfg.network, result.network.state())
+    arrays = {name: p.data for name, p in result.network.parameters().items()}
+    save_checkpoint(out / "model.m2f", cfg.network, arrays)
     atomic_write_text(out / "pretrain_log.csv", loss_log_csv(pre_log, 1))
     atomic_write_text(out / "loss_log.csv", loss_log_csv(result.log, cfg.network.stages))
     first = result.log[0]["total"] if result.log else float("nan")
@@ -106,8 +109,8 @@ def cmd_predict(args) -> int:
     net = network_from_checkpoint(args.model)
     entries = load_dataset(args.data, args.split)
     out = Path(args.out)
-    for name, prob in _predictions(net, entries):
-        save_image(out / f"pred_{name}.pgm", prob)
+    for name, sample in entries:
+        save_image(out / f"pred_{name}.pgm", net.predict(Tensor(sample.image)))
     print(f"wrote {len(entries)} probability maps to {out}")
     return 0
 
@@ -116,15 +119,11 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     net = network_from_checkpoint(args.model) if args.model else None
     entries = load_dataset(args.data, args.split)
-    probs, gts = [], []
-    for name, sample in entries:
-        if sample.segments is None:
-            raise DataError(f"sample {name} has no ground-truth segments to score")
-        if net is not None:
-            probs.append(net.predict(Tensor(sample.image)))
-        else:
-            probs.append(load_image(Path(args.pred) / f"pred_{name}.pgm"))
-        gts.append(LabelImage(sample.segments))
+    gts = _ground_truth(entries)
+    if net is not None:
+        probs = [net.predict(Tensor(sample.image)) for _, sample in entries]
+    else:
+        probs = [load_image(Path(args.pred) / f"pred_{name}.pgm") for name, _ in entries]
     scores, best_t, points = best_fscore_sweep(probs, gts, cfg.eval.thresholds())
     out = Path(args.out)
     atomic_write_text(
@@ -214,9 +213,7 @@ def cmd_ablate(args) -> int:
     cfg = _resolve(args)
     samples = _train_samples(cfg, args.data)
     entries = load_dataset(args.data, "test")
-    for name, sample in entries:
-        if sample.segments is None:
-            raise DataError(f"sample {name} has no ground-truth segments to score")
+    gts = _ground_truth(entries)
     # The four designs cross recursion arity (one top-level map vs all side
     # maps) with the training regime (frozen first stage vs joint updates);
     # the second-highest-level single variant fills out the arity axis.
@@ -236,7 +233,6 @@ def cmd_ablate(args) -> int:
         result, _ = train_pipeline(net_cfg, samples, sched)
         any_aborted = any_aborted or result.aborted
         probs = [result.network.predict(Tensor(s.image)) for _, s in entries]
-        gts = [LabelImage(s.segments) for _, s in entries]
         scores, best_t, _ = best_fscore_sweep(probs, gts, cfg.eval.thresholds())
         rec = net_cfg.recursive
         rows.append(

@@ -8,6 +8,8 @@ stem and split per line.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,6 +218,8 @@ def boundary_from_segments(segments) -> np.ndarray:
 ROTATIONS = (0, 1, 2, 3)  # quarter turns, counterclockwise
 FLIPS = ("none", "ud", "lr")
 SCALES = (0.8, 1.0, 1.2)
+# (rotation, flip, scale) of each of the 36 members, the scale varying fastest.
+MEMBERS = tuple(itertools.product(ROTATIONS, FLIPS, SCALES))
 
 
 def resize_bilinear(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
@@ -240,20 +244,14 @@ def resize_nearest(arr: np.ndarray, oh: int, ow: int) -> np.ndarray:
     return arr[np.ix_(ys, xs)]
 
 
+def _isometry(a: np.ndarray, rot: int, flip: str) -> np.ndarray:
+    a = np.rot90(a, rot)
+    return {"none": a, "ud": np.flipud(a), "lr": np.fliplr(a)}[flip]
+
+
 def _transform(sample: Sample, rot: int, flip: str, scale: float) -> Sample:
-    img = sample.image[0]
-    mask = sample.mask
-    segs = sample.segments
-    if rot:
-        img = np.rot90(img, rot)
-        mask = np.rot90(mask, rot)
-        segs = np.rot90(segs, rot) if segs is not None else None
-    if flip == "ud":
-        img, mask = np.flipud(img), np.flipud(mask)
-        segs = np.flipud(segs) if segs is not None else None
-    elif flip == "lr":
-        img, mask = np.fliplr(img), np.fliplr(mask)
-        segs = np.fliplr(segs) if segs is not None else None
+    img, mask = _isometry(sample.image[0], rot, flip), _isometry(sample.mask, rot, flip)
+    segs = None if sample.segments is None else _isometry(sample.segments, rot, flip)
     if scale != 1.0:
         oh = max(1, int(round(img.shape[0] * scale)))
         ow = max(1, int(round(img.shape[1] * scale)))
@@ -269,14 +267,25 @@ def _transform(sample: Sample, rot: int, flip: str, scale: float) -> Sample:
     return Sample(img.copy()[None], np.ascontiguousarray(mask), None if segs is None else np.ascontiguousarray(segs))
 
 
+class Augmented(Sequence):
+    """Read-only view of the 36 augmentation members of each sample: item i
+    is member ``MEMBERS[i % 36]`` of sample ``i // 36``, built when indexed."""
+
+    def __init__(self, samples):
+        self._samples = list(samples)
+
+    def __len__(self) -> int:
+        return len(MEMBERS) * len(self._samples)
+
+    def __getitem__(self, i) -> Sample:
+        # divmod floors, so a negative i counts from the end as in a list.
+        sample, member = divmod(i, len(MEMBERS))
+        return _transform(self._samples[sample], *MEMBERS[member])
+
+
 def augment36(sample: Sample) -> list[Sample]:
     """4 rotations x 3 flips x 3 scales; the identity member is included."""
-    out = []
-    for rot in ROTATIONS:
-        for flip in FLIPS:
-            for scale in SCALES:
-                out.append(_transform(sample, rot, flip, scale))
-    return out
+    return list(Augmented([sample]))
 
 
 # ---- synthetic corpus ----
@@ -337,12 +346,11 @@ def _try_generate(rng, height, width, n_cells, distractor_rate):
     membrane |= grow2 & (thickness >= hi)
 
     segments = np.where(membrane, 0, cells).astype(np.int32)
-    for cid in range(1, n_cells + 1):
-        cell_mask = segments == cid
-        if cell_mask.sum() < 16:
-            return None
-        if _label_components(cell_mask).max() != 1:
-            return None
+    # The seam parts every 4-adjacent pair of different cells, so the
+    # interiors fall into exactly n_cells components when each cell is one.
+    sizes = np.bincount(segments.ravel(), minlength=n_cells + 1)[1:]
+    if sizes.min() < 16 or _label_components(segments > 0).max() != n_cells:
+        return None
 
     interior = 0.7 + rng.normal(0.0, 0.08, (height, width))
     image = np.clip(interior, 0.45, 0.95)

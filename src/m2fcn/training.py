@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
-from .loss import BoundaryLabels, balanced_ce_value, class_balance_beta, total_loss
+from .loss import balanced_ce_value, class_balance_beta, total_loss
 from .network import M2FCN, NetworkConfig, build_network, initial_values
 
 __all__ = [
@@ -148,18 +148,10 @@ def freeze_stage(net: M2FCN, stage: int) -> None:
             p.requires_grad = False
 
 
-def _prepare(data) -> list[tuple[Tensor, BoundaryLabels]]:
-    prepared = []
-    for sample in data:
-        img = Tensor(sample.image)
-        prepared.append((img, sample.labels()))
-    if not prepared:
+def _run_loop(net, data, iters, lr, schedule, out_dir=None):
+    """Shared inner loop over samples, each built when drawn; returns (log, aborted)."""
+    if len(data) == 0:
         raise ValueError("training needs at least one sample")
-    return prepared
-
-
-def _run_loop(net, prepared, iters, lr, schedule, out_dir=None):
-    """Shared inner loop; returns (log, aborted)."""
     cfg = net.config
     params = net.parameters()
     opt = SGD(params, lr, schedule.momentum, schedule.weight_decay)
@@ -171,8 +163,11 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None):
     aborted = False
     for it in range(1, iters + 1):
         if not order:
-            order = list(order_rng.permutation(len(prepared)))
-        image, labels = prepared[order.pop(0)]
+            order = list(order_rng.permutation(len(data)))
+        # Built outside the try: a sample that cannot be built is an error
+        # in the data, not a diverging run.
+        sample = data[order.pop(0)]
+        image, labels = Tensor(sample.image), sample.labels()
         try:
             outs = net.forward_all(image)
             loss = total_loss(outs, labels, cfg)
@@ -203,7 +198,8 @@ def _run_loop(net, prepared, iters, lr, schedule, out_dir=None):
             aborted = True
             break
         if schedule.snapshot_every > 0 and out_dir is not None and it % schedule.snapshot_every == 0:
-            save_checkpoint(f"{out_dir}/snapshot_{it:06d}.m2f", cfg, net.state())
+            arrays = {name: p.data for name, p in params.items()}
+            save_checkpoint(f"{out_dir}/snapshot_{it:06d}.m2f", cfg, arrays)
     return log, aborted
 
 
@@ -214,8 +210,7 @@ def pretrain_stage1(config: NetworkConfig, data, schedule: TrainSchedule):
     is exactly the seeded initialization.
     """
     net = build_network(replace(config, stages=1), schedule.seed)
-    prepared = _prepare(data)
-    log, aborted = _run_loop(net, prepared, schedule.phase1_iters, schedule.phase1_lr, schedule)
+    log, aborted = _run_loop(net, data, schedule.phase1_iters, schedule.phase1_lr, schedule)
     return net.state(), log, aborted
 
 
@@ -223,9 +218,8 @@ def train(net: M2FCN, data, schedule: TrainSchedule, out_dir=None) -> TrainResul
     """Phase 2 over a prepared network (stage 1 usually pretrained)."""
     if schedule.mode == "stepwise" and net.config.stages > 1:
         freeze_stage(net, 1)
-    prepared = _prepare(data)
     log, aborted = _run_loop(
-        net, prepared, schedule.phase2_iters, schedule.phase2_lr, schedule, out_dir=out_dir
+        net, data, schedule.phase2_iters, schedule.phase2_lr, schedule, out_dir=out_dir
     )
     return TrainResult(net, log, aborted)
 

@@ -198,6 +198,24 @@ def test_declared_lengths_past_the_end_allocate_nothing(workdir, blob):
     assert peak < 2**20
 
 
+def test_save_from_the_registry_copies_no_parameter(workdir):
+    # Handing save_checkpoint the registry's own float32 arrays writes the
+    # bytes a state() copy would, without a parameter-sized allocation.
+    config = NetworkConfig(stages=2, subnet=SubNetConfig(levels=(LevelSpec(2, 64), LevelSpec(2, 128))))
+    net = build_network(config, seed=1)
+    arrays = {name: p.data for name, p in net.parameters().items()}
+    nbytes = sum(a.nbytes for a in arrays.values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(workdir / "registry.m2f", config, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * nbytes, (peak, nbytes)
+    save_checkpoint(workdir / "copied.m2f", config, net.state())
+    assert (workdir / "registry.m2f").read_bytes() == (workdir / "copied.m2f").read_bytes()
+
+
 def test_bad_magic(workdir, valid):
     with pytest.raises(CheckpointError, match="bad magic"):
         load_blob(workdir, b"M2FX" + valid[4:])

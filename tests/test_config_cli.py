@@ -2,6 +2,7 @@
 
 import csv
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,21 @@ def test_cli_missing_inputs_exit_2(workdir, tmp_path):
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+def test_cli_scoring_without_segments_exits_2(workdir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    (data / "segs" / "002.pgm").unlink()
+    for args in (
+        ["eval", "--model", str(workdir / "run1" / "model.m2f"), "--data", str(data),
+         "--out", str(tmp_path / "e")],
+        ["ablate", "--data", str(data), "--out", str(tmp_path / "a")],
+    ):
+        r = run_cli(args)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "error: sample 002 has no ground-truth segments to score\n"
+    assert not (tmp_path / "e").exists() and not (tmp_path / "a").exists()
+
+
 def test_cli_predict_non_finite_checkpoint_exit_2(workdir, tmp_path):
     config, state = load_checkpoint(workdir / "run1" / "model.m2f")
     state["stage1/level1/conv1/weight"][0, 0, 1, 1] = np.nan
@@ -491,6 +507,35 @@ def test_cli_seed_flag_changes_model(workdir, tmp_path):
     assert (out / "model.m2f").read_bytes() != (
         workdir / "run1" / "model.m2f"
     ).read_bytes()
+
+
+def test_cli_paper_profile_end_to_end(tmp_path):
+    # The paper profile's network, augmentation and checkpoint together, on
+    # data reduced only through --set.
+    reduced = []
+    for setting in ("data.height=64", "data.width=64", "data.n_cells=8",
+                    "data.n_train=2", "data.n_test=1"):
+        reduced += ["--set", setting]
+    data, run = tmp_path / "data", tmp_path / "run"
+    r = run_cli(["synth", "--profile", "paper", "--out", str(data), *reduced])
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["train", "--profile", "paper", "--data", str(data), "--out", str(run), *reduced,
+                 "--set", "train.phase1_iters=2", "--set", "train.phase2_iters=2"])
+    assert r.returncode == 0, r.stderr
+    assert "trained 72 samples" in r.stdout  # 2 images x 36 augmentation members
+    network = load_run_config(None, "paper", []).network
+    values = sum(int(np.prod(shape)) for _, shape in network.parameter_shapes())
+    assert values > 44_000_000
+    assert (run / "model.m2f").stat().st_size > 4 * values
+    r = run_cli(["predict", "--model", str(run / "model.m2f"), "--data", str(data),
+                 "--out", str(tmp_path / "pred")])
+    assert r.returncode == 0, r.stderr
+    assert [p.name for p in (tmp_path / "pred").iterdir()] == ["pred_002.pgm"]
+    r = run_cli(["eval", "--profile", "paper", "--model", str(run / "model.m2f"),
+                 "--data", str(data), "--out", str(tmp_path / "eval"), *reduced])
+    assert r.returncode == 0, r.stderr
+    scores = (tmp_path / "eval" / "scores.txt").read_text()
+    assert scores.startswith("n_images = 1\n") and "rand_fscore" in scores
 
 
 def test_cli_no_partial_files_after_success(workdir):

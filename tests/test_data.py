@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from m2fcn.data import (
     FLIPS,
+    MEMBERS,
     ROTATIONS,
     SCALES,
+    Augmented,
     DataError,
     PgmDepthError,
     PgmHeaderError,
@@ -29,6 +31,7 @@ from m2fcn.data import (
     synth_corpus,
     synth_generate,
 )
+from oracles import bfs_components
 
 
 # ---- PGM round trips ----
@@ -296,6 +299,42 @@ def test_augment36_mask_only_sample():
     assert all(a.segments is None for a in out)
 
 
+def _same_bytes(a: Sample, b: Sample) -> bool:
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.image, b.image), (a.mask, b.mask), (a.segments, b.segments))
+    )
+
+
+def test_augmented_view_matches_augment36_byte_for_byte():
+    samples = [_toy_sample(seed=1), _toy_sample(h=24, w=18, seed=2)]
+    view = Augmented(samples)
+    assert len(view) == 72
+    eager = augment36(samples[0]) + augment36(samples[1])
+    for i, member in enumerate(view):
+        assert _same_bytes(member, eager[i]), i
+    for i in (-1, -36, -37, -72):
+        assert _same_bytes(view[i], eager[i]), i
+    with pytest.raises(IndexError):
+        view[72]
+    with pytest.raises(IndexError):
+        view[-73]
+
+
+def test_augment36_member_order():
+    # The scale varies fastest, then the flip, then the rotation; each
+    # unscaled member is its rotation and flip of the source raster.
+    assert MEMBERS[:4] == ((0, "none", 0.8), (0, "none", 1.0), (0, "none", 1.2), (0, "ud", 0.8))
+    s = _toy_sample(h=20, w=14, seed=3)
+    flips = {"none": lambda a: a, "ud": lambda a: a[::-1], "lr": lambda a: a[:, ::-1]}
+    out = augment36(s)
+    for k, (rot, flip, scale) in enumerate(MEMBERS):
+        if scale != 1.0:
+            continue
+        assert np.array_equal(out[k].image[0], flips[flip](np.rot90(s.image[0], rot))), k
+        assert np.array_equal(out[k].segments, flips[flip](np.rot90(s.segments, rot))), k
+
+
 # ---- synthetic generation ----
 
 
@@ -376,6 +415,16 @@ def test_synth_corpus_deterministic():
     for sa, sb in zip(a[0] + a[1], b[0] + b[1]):
         assert np.array_equal(sa.image, sb.image)
         assert np.array_equal(sa.segments, sb.segments)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([64, 128, 192]))
+def test_synth_cells_are_connected_and_large(seed, size):
+    s = synth_generate(seed, size, size, n_cells=8)
+    for cid in range(1, 9):
+        cell = s.segments == cid
+        assert cell.sum() >= 16, cid
+        assert bfs_components(cell).max() == 1, cid
 
 
 def test_synth_validation():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from m2fcn import training
 from m2fcn.autodiff import Tensor
-from m2fcn.data import synth_corpus
+from m2fcn.data import Augmented, augment36, synth_corpus
 from m2fcn.loss import total_loss
 from m2fcn.network import NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
@@ -271,6 +271,44 @@ def test_train_holds_one_graph_at_a_time():
             tracemalloc.stop()
 
     assert peak(3) <= 1.05 * peak(1)
+
+
+def test_train_over_augmented_view_matches_eager_members():
+    sources = corpus(2)
+    eager = [member for s in sources for member in augment36(s)]
+    sched = TrainSchedule(phase1_iters=0, phase2_iters=8, seed=3)
+    a = train(build_network(TOY, seed=0), eager, sched)
+    b = train(build_network(TOY, seed=0), Augmented(sources), sched)
+    assert loss_log_csv(a.log, TOY.stages) == loss_log_csv(b.log, TOY.stages)
+    sa, sb = a.network.state(), b.network.state()
+    for name, value in sa.items():
+        assert value.tobytes() == sb[name].tobytes(), name
+
+
+def test_train_peak_does_not_grow_with_the_augmented_set():
+    # Members are built as they are drawn, so a view over six images peaks
+    # where a view over one does. Each run draws 36 members, which covers
+    # the largest (scale 1.2) member in both.
+    source = corpus(1)[0]
+    views = {n: Augmented([source] * n) for n in (1, 6)}
+
+    def peak(n):
+        net = build_network(TOY, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            train(net, views[n], TrainSchedule(phase1_iters=0, phase2_iters=36, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, six = peak(1), peak(6)
+    assert abs(six - one) <= 0.05 * one, (one, six)
+
+
+def test_train_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="at least one sample"):
+        train(build_network(TOY, seed=0), Augmented([]), TrainSchedule(phase2_iters=1))
 
 
 def diverged_run(data, lr=1e6):
