@@ -314,7 +314,7 @@ def _box_blur(field: np.ndarray, radius: int) -> np.ndarray:
     ) / (k * k)
 
 
-def _try_generate(rng, height, width, n_cells, distractor_rate):
+def _generate(rng, height, width, n_cells, distractor_rate):
     # Sites with a minimum pairwise separation keep the cells chunky enough
     # that every interior survives the membrane carving.
     min_sep = 0.45 * np.sqrt(height * width / n_cells)
@@ -325,13 +325,15 @@ def _try_generate(rng, height, width, n_cells, distractor_rate):
             sites.append(cand)
             if len(sites) == n_cells:
                 break
-    if len(sites) < n_cells:
-        return None
-    sites_arr = np.array(sites)
 
+    # Voronoi cells; the strict < keeps the earlier site on a tie, as argmin does.
     rr, cc = np.mgrid[0:height, 0:width]
-    d2 = (rr[..., None] - sites_arr[:, 0]) ** 2 + (cc[..., None] - sites_arr[:, 1]) ** 2
-    cells = d2.argmin(axis=-1).astype(np.int32) + 1
+    nearest = np.full((height, width), np.inf)
+    cells = np.zeros((height, width), dtype=np.int32)
+    for cid, (sr, sc) in enumerate(sites, start=1):
+        d2 = (rr - sr) ** 2 + (cc - sc) ** 2
+        cells[d2 < nearest] = cid
+        np.minimum(nearest, d2, out=nearest)
 
     # One-sided membrane seam, thickened by a smooth random field to 1-3 px.
     seam = np.zeros((height, width), dtype=bool)
@@ -345,12 +347,15 @@ def _try_generate(rng, height, width, n_cells, distractor_rate):
     membrane |= grow1 & (thickness >= lo)
     membrane |= grow2 & (thickness >= hi)
 
+    # Interior islands under 16 px that thickening strands become membrane. The seam parts
+    # cells, so n_cells components and no empty cell (as an unplaced site's) are one per cell.
+    components = _label_components(~membrane)
+    counts = np.bincount(components.ravel())
+    membrane |= (counts < 16)[components]
     segments = np.where(membrane, 0, cells).astype(np.int32)
-    # The seam parts every 4-adjacent pair of different cells, so the
-    # interiors fall into exactly n_cells components when each cell is one.
     sizes = np.bincount(segments.ravel(), minlength=n_cells + 1)[1:]
-    if sizes.min() < 16 or _label_components(segments > 0).max() != n_cells:
-        return None
+    if sizes.min() < 16 or np.count_nonzero(counts[1:] >= 16) != n_cells:
+        raise ValueError(f"could not fit {n_cells} connected cells into {height}x{width}")
 
     interior = 0.7 + rng.normal(0.0, 0.08, (height, width))
     image = np.clip(interior, 0.45, 0.95)
@@ -393,9 +398,9 @@ def synth_generate(
     between them is rendered dark with jittered thickness, interiors are
     bright with Gaussian texture, and optional darker elliptical blobs act
     as distractors that never touch a membrane. The segment raster carries 0
-    exactly on the membrane mask, so evaluation excludes those pixels. The
-    generator retries site draws until every cell keeps a single connected
-    interior.
+    exactly on the membrane mask, so evaluation excludes those pixels. Each
+    image is one draw: interior islands under 16 px become membrane, and a
+    draw that leaves a cell empty, under 16 px or in pieces raises ValueError.
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
@@ -407,12 +412,7 @@ def synth_generate(
         raise ValueError(
             f"{n_cells} cells exceed the pixel budget of a {height}x{width} raster"
         )
-    for attempt in range(64):
-        rng = np.random.default_rng([seed, attempt])
-        sample = _try_generate(rng, height, width, n_cells, distractor_rate)
-        if sample is not None:
-            return sample
-    raise ValueError(f"could not fit {n_cells} connected cells into {height}x{width}")
+    return _generate(np.random.default_rng([seed, 0]), height, width, n_cells, distractor_rate)
 
 
 def synth_corpus(

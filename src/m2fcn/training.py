@@ -206,12 +206,12 @@ def _run_loop(net, data, iters, lr, schedule, out_dir=None):
 def pretrain_stage1(config: NetworkConfig, data, schedule: TrainSchedule):
     """Phase 1: train a single-stage network on the same data.
 
-    Returns (state dict, loss log, aborted). With zero iterations the state
-    is exactly the seeded initialization.
+    Returns (the network's own parameter arrays, loss log, aborted). With
+    zero iterations they are exactly the seeded initialization.
     """
     net = build_network(replace(config, stages=1), schedule.seed)
     log, aborted = _run_loop(net, data, schedule.phase1_iters, schedule.phase1_lr, schedule)
-    return net.state(), log, aborted
+    return {name: p.data for name, p in net.parameters().items()}, log, aborted
 
 
 def train(net: M2FCN, data, schedule: TrainSchedule, out_dir=None) -> TrainResult:

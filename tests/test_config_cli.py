@@ -12,6 +12,7 @@ import pytest
 
 from m2fcn.checkpoint import load_checkpoint, save_checkpoint
 from m2fcn.config import _KNOWN, ConfigError, DataParams, EvalParams, load_run_config
+from m2fcn.data import load_dataset
 from m2fcn.subnet import receptive_field
 from m2fcn.training import TrainSchedule
 
@@ -507,6 +508,18 @@ def test_cli_seed_flag_changes_model(workdir, tmp_path):
     assert (out / "model.m2f").read_bytes() != (
         workdir / "run1" / "model.m2f"
     ).read_bytes()
+
+
+def test_cli_paper_profile_synth_builds_its_data(tmp_path):
+    out = tmp_path / "d"
+    r = run_cli(["synth", "--profile", "paper", "--set", "data.n_train=1",
+                 "--set", "data.n_test=1", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    entries = load_dataset(out)
+    assert [name for name, _ in entries] == ["000", "001"]
+    for _, sample in entries:
+        assert sample.image.shape == (1, 512, 512)
+        assert len(np.unique(sample.segments[sample.segments > 0])) == 80
 
 
 def test_cli_paper_profile_end_to_end(tmp_path):

@@ -1,6 +1,7 @@
 """PGM I/O, boundary derivation, augmentation, and the synthetic corpus."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,13 +419,31 @@ def test_synth_corpus_deterministic():
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([64, 128, 192]))
-def test_synth_cells_are_connected_and_large(seed, size):
-    s = synth_generate(seed, size, size, n_cells=8)
-    for cid in range(1, 9):
-        cell = s.segments == cid
-        assert cell.sum() >= 16, cid
-        assert bfs_components(cell).max() == 1, cid
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(64, 8), (128, 8), (192, 8), (192, 12), (256, 16), (512, 80)]),
+)
+def test_synth_cells_are_connected_and_large(seed, shape):
+    size, n_cells = shape
+    s = synth_generate(seed, size, size, n_cells)
+    interior = s.segments > 0
+    components = bfs_components(interior)
+    assert components.max() == n_cells
+    # Each component carries one id and each id one component.
+    pairs = np.unique(np.stack([components[interior], s.segments[interior]]), axis=1)
+    assert pairs.shape[1] == n_cells and len(np.unique(pairs[1])) == n_cells
+    assert np.bincount(s.segments.ravel())[1:].min() >= 16
+
+
+def test_synth_paper_image_peak_memory():
+    # A per-pixel, per-site distance array alone would take 168 MB here.
+    tracemalloc.start()
+    try:
+        synth_generate(0, 512, 512, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_synth_validation():
