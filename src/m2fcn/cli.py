@@ -99,7 +99,7 @@ def cmd_train(args) -> int:
     print(f"trained {len(samples)} samples: total loss {first:.4f} -> {last:.4f}")
     print(f"checkpoint: {out / 'model.m2f'}")
     if result.aborted:
-        print("training diverged; checkpoint holds the best state before divergence",
+        print("training diverged; checkpoint holds the parameters of the last logged loss",
               file=sys.stderr)
         return 1
     return 0

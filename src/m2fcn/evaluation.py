@@ -135,13 +135,13 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
 
 
-def _jump(ptr: np.ndarray) -> np.ndarray:
-    """Resolve every pointer chain to its fixed point by pointer jumping."""
+def _jump(ptr: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer jumping to every chain's fixed point; returns (result, spare)."""
     while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            return ptr
-        ptr = nxt
+        np.take(ptr, ptr, out=spare, mode="clip")
+        if np.array_equal(spare, ptr):
+            return ptr, spare
+        ptr, spare = spare, ptr
 
 
 def _neighbour_ranks(order: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -185,9 +185,9 @@ class _FloodTree:
         self.order = np.argsort(-p.ravel(), kind="stable")
         self.nb = _neighbour_ranks(self.order, p.shape)
 
-        self.roots = np.full((4, n), n, dtype=np.int32)  # neighbour roots as the rank joins
-        self.absorbed_into = np.arange(n, dtype=np.int32)
-        self.absorbed_at = np.full(n, n, dtype=np.int32)
+        self.roots = np.full((4, n), n, dtype=np.intp)  # neighbour roots as the rank joins
+        self.absorbed_into = np.arange(n, dtype=np.intp)
+        self.absorbed_at = np.full(n, n, dtype=np.intp)
         parent = list(range(n))
         seeded = int(np.count_nonzero(p >= top))
         if seeded:
@@ -223,37 +223,46 @@ class _FloodTree:
         self.joined[alone] = np.flatnonzero(alone)
         if seeded:
             self.joined[:seeded] = seed_roots
+        # Work arrays of ``labels``, reused at every threshold. Every index
+        # it takes is in range; mode="clip" only spares ``take`` a copy.
+        self.ranks = np.arange(n, dtype=np.intp)
+        self.work = np.empty((5, n), dtype=np.intp)
+        self.raster = np.empty(n, dtype=np.int32)
 
     def labels(self, threshold: float) -> np.ndarray:
-        """The flood's int32 label raster at a threshold <= top."""
-        p = self.p
-        n = p.size
+        """The flood's int32 label raster at a threshold <= top, held in a
+        work array that the next call overwrites."""
+        p, n = self.p, self.p.size
         m = int(np.count_nonzero(p >= threshold))
         if m == 0:
             return np.zeros(p.shape, dtype=np.int32)
-        ranks = np.arange(n)
+        ranks, (a, b, c, d, ptr) = self.ranks, self.work
         # Foreground: the components of the top m ranks, numbered in
         # row-major order of their first pixel.
-        comp = _jump(np.where(self.absorbed_at < m, self.absorbed_into, ranks))
-        comp = comp[self.joined[:m]]
-        first = np.full(n, n)
-        np.minimum.at(first, comp, self.order[:m])
-        starts = np.zeros(n, dtype=bool)
-        starts[first[comp]] = True
-        fg_ids = np.cumsum(starts, dtype=np.int32)[first[comp]]
+        np.copyto(a, ranks)
+        np.copyto(a, self.absorbed_into, where=self.absorbed_at < m)
+        comp = np.take(_jump(a, b)[0], self.joined[:m], out=c[:m], mode="clip")
+        d.fill(n)
+        np.minimum.at(d, comp, self.order[:m])
+        first = np.take(d, comp, out=a[:m], mode="clip")
+        b.fill(0)
+        b[first] = 1
+        fg_ids = np.take(np.cumsum(b, out=b), first, out=c[:m], mode="clip")
         # Below the threshold: a rank whose component touches a labeled one
         # when it joins opens a burst and points at its highest-ranked
         # labeled neighbour; any other rank points at the rank whose join
         # first connected its component to a labeled one.
-        joined = self.joined[m:]
-        best_labeled = np.where(self.roots[:, m:] < m, self.nb[:, m:], n).min(axis=0)
+        best_labeled = np.where(self.roots[:, m:] < m, self.nb[:, m:], n).min(axis=0, out=d[m:])
         # The last unlabeled root on the way up; its absorption is the join.
-        unlabeled = _jump(np.where(self.absorbed_into >= m, self.absorbed_into, ranks))
-        connect = self.absorbed_at[unlabeled[joined]]
-        ptr = np.concatenate([ranks[:m], np.where(joined < m, best_labeled, connect)])
-        out = np.empty(n, dtype=np.int32)
-        out[self.order] = fg_ids[_jump(ptr)]
-        return out.reshape(p.shape)
+        np.copyto(a, ranks)
+        np.copyto(a, self.absorbed_into, where=self.absorbed_into >= m)
+        unlabeled, spare = _jump(a, b)
+        rooted = np.take(unlabeled, self.joined[m:], out=spare[m:], mode="clip")
+        connect = np.take(self.absorbed_at, rooted, out=ptr[m:], mode="clip")
+        np.copyto(connect, best_labeled, where=self.joined[m:] < m)
+        ptr[:m] = ranks[:m]
+        self.raster[self.order] = np.take(fg_ids, _jump(ptr, a)[0], out=b, mode="clip")
+        return self.raster.reshape(p.shape)
 
 
 def segment_from_boundary(prob, threshold: float) -> LabelImage:

@@ -200,22 +200,6 @@ class M2FCN:
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy ``state`` into the existing parameters (the trainer's rollback),
-        each value cast to its parameter's dtype."""
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ValueError(
-                f"state does not match network (missing {sorted(missing)[:3]}, "
-                f"unexpected {sorted(extra)[:3]})"
-            )
-        for name, p in self._params.items():
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data[...] = arr
-
 
 def initial_values(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
     """Seeded float32 starting values of every parameter, in

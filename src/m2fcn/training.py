@@ -63,9 +63,10 @@ class SGD:
     momentum still apply). Every tensor is updated in place, slice by slice
     through one scratch buffer of at most ``_STEP_CHUNK`` elements in the
     parameters' dtype, with the roundings of the expression above in its
-    order, so the step allocates nothing parameter-sized. The rates are kept
-    as Python floats, which numpy applies in the array's dtype, so float32
-    parameters step in float32.
+    order. The step consumes each gradient: once read, a slice receives its
+    parameter slice's pre-step values, which the step returns, so it
+    allocates nothing parameter-sized. The rates are Python floats, which
+    numpy applies in the array's dtype: float32 parameters step in float32.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
@@ -84,8 +85,13 @@ class SGD:
         dtype = np.result_type(np.float32, *self.velocity.values())
         self._scratch = np.empty(min(longest, _STEP_CHUNK), dtype=dtype)
 
-    def step(self) -> None:
-        """One update; a non-finite gradient raises before any parameter moves."""
+    def step(self) -> dict[str, np.ndarray]:
+        """One update; returns the pre-step values of every parameter it moved.
+
+        A non-finite gradient raises before any parameter moves. ``grad`` is
+        cleared. A gradient of another shape or dtype, read-only or not
+        C-contiguous is only read, and a new array takes the values.
+        """
         live = [(name, p) for name, p in self.params.items() if p.requires_grad]
         # A finite sum rules out NaN and infinity without a boolean array;
         # only a sum that overflows or is not finite is checked element by
@@ -96,9 +102,14 @@ class SGD:
                 if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
                     raise FloatingPointError(f"non-finite gradient for {name}")
         lr, momentum, decay = self.lr, self.momentum, self.weight_decay
+        before = {}
         for name, p in live:
-            pf, vf = p.data.reshape(-1), self.velocity[name].reshape(-1)
-            gf = None if p.grad is None else p.grad.reshape(-1)
+            g, p.grad = p.grad, None
+            reuse = (g is not None and g.shape == p.data.shape and g.dtype == p.data.dtype
+                     and g.flags.writeable and g.flags.c_contiguous)
+            before[name] = keep = g if reuse else np.empty_like(p.data)
+            pf, vf, kf = p.data.reshape(-1), self.velocity[name].reshape(-1), keep.reshape(-1)
+            gf = None if g is None else g.reshape(-1)
             for lo in range(0, pf.size, _STEP_CHUNK):
                 hi = lo + _STEP_CHUNK
                 ps, vs = pf[lo:hi], vf[lo:hi]
@@ -108,7 +119,9 @@ class SGD:
                 t *= lr
                 vs *= momentum
                 vs -= t
+                kf[lo:hi] = ps
                 ps += vs
+        return before
 
 
 @dataclass(frozen=True)
@@ -158,8 +171,8 @@ def _run_loop(net, data, iters, lr, schedule, out_dir=None):
     order_rng = np.random.default_rng(schedule.seed)
     order: list[int] = []
     log: list[dict] = []
-    best_loss = np.inf
-    best_state = None
+    # The last step's pre-step values: the parameters that scored the last row.
+    before: dict[str, np.ndarray] = {}
     aborted = False
     for it in range(1, iters + 1):
         if not order:
@@ -176,25 +189,19 @@ def _run_loop(net, data, iters, lr, schedule, out_dir=None):
             for m in range(1, cfg.stages + 1):
                 record[f"fused{m}"] = balanced_ce_value(outs.fused[m].data, labels, beta)
             log.append(record)
-            if record["total"] < best_loss:
-                # Taken before the step: these are the parameters whose loss
-                # was just logged. Later snapshots overwrite the first one's
-                # arrays, so only one parameter-sized copy is ever kept.
-                best_loss = record["total"]
-                if best_state is None:
-                    best_state = net.state()
-                else:
-                    for name, p in params.items():
-                        np.copyto(best_state[name], p.data)
+            # Dropped before backward allocates new gradients: besides the
+            # velocity, one parameter-sized set is alive at a time.
+            before = {}
             loss.backward()
-            opt.step()
+            before = opt.step()
             # Free this iteration's graph before the next forward builds one.
             del outs, loss
         except FloatingPointError:
-            # Divergence: roll back to the lowest-loss parameters logged so
-            # far. Without a snapshot no parameter has moved yet.
-            if best_state is not None:
-                net.load_state(best_state)
+            # Divergence. A non-finite forward or loss follows a step: put
+            # back the values that step started from, which scored the log's
+            # last row. A non-finite gradient raises before anything moves.
+            for name, values in before.items():
+                np.copyto(params[name].data, values)
             aborted = True
             break
         if schedule.snapshot_every > 0 and out_dir is not None and it % schedule.snapshot_every == 0:

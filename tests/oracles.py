@@ -404,3 +404,20 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
         v *= momentum
         v -= lr * (g + weight_decay * p.data)
         p.data += v
+
+
+def snapshotting(step, snapshots):
+    """Wrap an optimizer's ``step`` method so each call first appends a copy
+    of every parameter to ``snapshots``.
+
+    This is the rollback that keeps a full snapshot per step. A training
+    loop logs one loss row per step, so the k-th copy holds the parameters
+    that scored the k-th row; after an abort the loop must hold the last
+    copy, or its starting parameters when nothing was copied.
+    """
+
+    def wrapped(opt):
+        snapshots.append({name: p.data.copy() for name, p in opt.params.items()})
+        return step(opt)
+
+    return wrapped

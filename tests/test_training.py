@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from m2fcn import training
 from m2fcn.autodiff import Tensor
-from m2fcn.data import Augmented, augment36, synth_corpus
-from m2fcn.loss import total_loss
+from m2fcn.data import Augmented, Sample, augment36, synth_corpus
 from m2fcn.network import NetworkConfig, build_network
 from m2fcn.subnet import LevelSpec, SubNetConfig
 from m2fcn.training import (
@@ -25,7 +24,7 @@ from m2fcn.training import (
     train,
     train_pipeline,
 )
-from oracles import sgd_step
+from oracles import sgd_step, snapshotting
 
 TOY = NetworkConfig(
     stages=2,
@@ -170,11 +169,15 @@ def test_sgd_step_bytes_equal_whole_tensor_expression(seed, lr, momentum, weight
 
 
 def check_sgd_step_bytes(rng, dtype, lr, momentum, weight_decay, zeros):
+    # "readonly" and "strided" gradients cannot take the pre-step values,
+    # so the step only reads them, as it reads nothing for "unreached".
     shapes = {
         "one": (1,), "below": (CHUNK - 1,), "exact": (CHUNK,), "above": (CHUNK + 1,),
         "several": (3 * CHUNK + 5,), "conv": (CHUNK // 16 + 3, 4, 2, 2),
         "unreached": (2 * CHUNK + 7,), "small_unreached": (5, 3), "frozen": (CHUNK + 9,),
+        "readonly": (CHUNK + 2,), "strided": (3, CHUNK // 2 + 1),
     }
+    kept = {"unreached", "small_unreached", "readonly", "strided"}
     start = {name: signed_values(rng, int(np.prod(shape)), zeros).reshape(shape).astype(dtype)
              for name, shape in shapes.items()}
 
@@ -187,16 +190,33 @@ def check_sgd_step_bytes(rng, dtype, lr, momentum, weight_decay, zeros):
     opt = SGD(got, lr, momentum, weight_decay)
     velocity = {name: np.zeros_like(v) for name, v in start.items()}
     for _ in range(3):
+        grads = {}
         for name, shape in shapes.items():
             g = None if "unreached" in name else signed_values(rng, int(np.prod(shape)), zeros).reshape(shape).astype(dtype)
-            got[name].grad = want[name].grad = g
-        opt.step()
+            if name == "readonly":
+                g.flags.writeable = False
+            elif name == "strided":
+                g = np.asfortranarray(g)
+            grads[name] = got[name].grad = g
+            # The oracle gets its own copy: the step writes into the arrays
+            # it consumes.
+            want[name].grad = None if g is None else g.copy()
+        pre = {name: t.data.copy() for name, t in want.items()}
+        before = opt.step()
         sgd_step(want, velocity, lr, momentum, weight_decay)
+        assert set(before) == set(shapes) - {"frozen"}
         for name in shapes:
             assert got[name].data.dtype == dtype
             assert got[name].data.tobytes() == want[name].data.tobytes(), name
             if name != "frozen":
                 assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+                assert got[name].grad is None, name
+                assert before[name].shape == shapes[name] and before[name].dtype == dtype, name
+                assert before[name].tobytes() == pre[name].tobytes(), name
+                # A consumed gradient array is the returned copy itself.
+                assert (before[name] is grads[name]) is (name not in kept), name
+        for name in ("readonly", "strided"):
+            assert grads[name].tobytes() == want[name].grad.tobytes(), name
     assert "frozen" not in opt.velocity and got["frozen"].data.tobytes() == start["frozen"].tobytes()
 
 
@@ -328,32 +348,66 @@ def test_divergent_run_rolls_back_and_flags():
         assert np.isfinite(v).all()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_divergent_run_restores_lowest_logged_loss():
-    # The restored parameters are the ones whose loss the log recorded, not
-    # the state one SGD step after them.
-    data = corpus(2)
-    result = diverged_run(data)
-    assert result.aborted
-    restored = [
-        total_loss(result.network.forward_all(Tensor(s.image)), s.labels(), TOY).item()
-        for s in data
-    ]
-    assert min(r["total"] for r in result.log) in restored
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "images, lr, poisoned_step, detected",
+    [
+        (2, 1e-3, None, "forward"),
+        (1, 1e-3, None, "gradient"),
+        (2, 1e6, None, "forward"),
+        (2, 1e37, None, "forward"),
+        (2, 1e-5, 3, "gradient"),
+    ],
+    ids=["lr1e-3", "lr1e-3_one_image", "lr1e6", "lr1e37", "nan_gradient"],
+)
+def test_divergent_run_restores_parameters_of_last_logged_row(monkeypatch, images, lr, poisoned_step, detected):
+    # The snapshot oracle copies every parameter before each step, so its
+    # last copy scored the log's last row. A forward abort comes after a
+    # step moved the parameters; a non-finite gradient (at lr 1e-3 on one
+    # image, or put into step ``poisoned_step``) raises before any moves.
+    snapshots, raised = [], []
+    step = training.SGD.step
+
+    def poisoning(opt):
+        if len(snapshots) == poisoned_step:
+            opt.params["stage2/fuse/weight"].grad[0] = np.nan
+        try:
+            return step(opt)
+        except FloatingPointError:
+            raised.append(len(snapshots))
+            raise
+
+    monkeypatch.setattr(training.SGD, "step", snapshotting(poisoning, snapshots))
+    result = diverged_run(corpus(images), lr)
+    assert result.aborted and len(snapshots) == len(result.log)
+    assert raised == ([len(snapshots)] if detected == "gradient" else [])
+    if lr < 1:  # several steps before the run diverges
+        assert len(result.log) >= 3
+    for name, value in result.network.state().items():
+        assert value.tobytes() == snapshots[-1][name].tobytes(), name
+        assert np.isfinite(value).all(), name
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_divergent_run_restores_best_of_several_snapshots():
-    # One image, so every logged loss scores the same sample. At this rate
-    # the loss falls for a few iterations, each taking a new snapshot over
-    # the last one's arrays, before the run diverges.
-    data = corpus(1)
-    result = diverged_run(data, lr=1e-3)
-    totals = [r["total"] for r in result.log]
-    improvements = sum(t < min(totals[:i], default=np.inf) for i, t in enumerate(totals))
-    assert result.aborted and improvements >= 2
-    image, labels = Tensor(data[0].image), data[0].labels()
-    assert total_loss(result.network.forward_all(image), labels, TOY).item() == min(totals)
+def test_train_peak_stays_near_two_parameter_sets():
+    # Wide deep levels at 16²: the parameters dominate the memory. An
+    # iteration needs the velocity and the gradients, which each step turns
+    # into the rollback values; a separate snapshot would make three sets.
+    cfg = NetworkConfig(
+        stages=2, subnet=SubNetConfig(levels=(LevelSpec(1, 8), LevelSpec(1, 16), LevelSpec(3, 256)))
+    )
+    source = corpus(1)[0]
+    data = [Sample(source.image[:, :16, :16], source.mask[:16, :16])]
+    net = build_network(cfg, seed=0)
+    param_bytes = sum(p.data.nbytes for p in net.parameters().values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = train(net, data, TrainSchedule(phase1_iters=0, phase2_iters=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.log) == 3 and not result.aborted
+    assert peak < 2.2 * param_bytes, (peak, param_bytes)
 
 
 def test_loss_reduction_at_desk_scale():
