@@ -366,21 +366,23 @@ def _generate(rng, height, width, n_cells, distractor_rate):
         # Dark blobs inside cells, kept clear of the membrane so they read as
         # clutter rather than boundary evidence.
         safe = ~_dilate(_dilate(membrane))
-        tone = 0.25 + rng.normal(0.0, 0.03, (height, width))
-        for cid in range(1, n_cells + 1):
+        tone = np.clip(0.25 + rng.normal(0.0, 0.03, (height, width)), 0.2, 0.35)
+        pools = [np.argwhere(safe & (segments == cid)) for cid in range(1, n_cells + 1)]
+        for cid, pool in enumerate(pools, start=1):
             for _ in range(rng.poisson(distractor_rate)):
-                pool = np.argwhere(safe & (segments == cid))
                 if len(pool) == 0:
                     continue
                 cy, cx = pool[rng.integers(len(pool))]
                 ry, rx = rng.uniform(2.0, 5.0, size=2)
                 angle = rng.uniform(0.0, np.pi)
                 ca, sa = np.cos(angle), np.sin(angle)
-                u = (rr - cy) * ca + (cc - cx) * sa
-                v = -(rr - cy) * sa + (cc - cx) * ca
+                # Semi-axes are under 5, so the blob lies in this window.
+                win = np.s_[max(cy - 5, 0) : cy + 6, max(cx - 5, 0) : cx + 6]
+                u = (rr[win] - cy) * ca + (cc[win] - cx) * sa
+                v = -(rr[win] - cy) * sa + (cc[win] - cx) * ca
                 blob = (u / ry) ** 2 + (v / rx) ** 2 <= 1.0
-                blob &= safe & (segments == cid)
-                image[blob] = np.clip(tone, 0.2, 0.35)[blob]
+                blob &= safe[win] & (segments[win] == cid)
+                image[win][blob] = tone[win][blob]
 
     return Sample(image[None], membrane, segments)
 

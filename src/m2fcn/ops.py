@@ -2,12 +2,12 @@
 
 Convolution is cross-correlation (no kernel flip) plus bias, always at
 stride 1 with "same" padding; only 2x2 max pooling downsamples. Upsampling
-is a fixed-weight transposed convolution with a bilinear kernel applied per
-channel. All ops are deterministic and follow their input's dtype: every
-array they allocate, the bilinear kernel included, takes the dtype of the
-map they read, so float32 maps stay float32 and float64 maps give float64
-bytes. Ops take weights as plain tensors and keep none: the network's
-parameter registry owns them.
+is a fixed bilinear transposed convolution per channel, computed as one
+interpolation-matrix product per axis. All ops are deterministic and follow
+their input's dtype: every array they allocate, those matrices included,
+takes the dtype of the map they read, so float32 maps stay float32 and
+float64 maps give float64 bytes. Ops take weights as plain tensors and keep
+none: the network's parameter registry owns them.
 
 A convolution with a kernel larger than 1x1 multiplies its weight with an
 im2col column block built one band of output rows at a time, in the forward
@@ -206,53 +206,47 @@ def bilinear_kernel(factor: int) -> np.ndarray:
     return 1.0 - np.abs(np.arange(k) - center) / factor
 
 
+def _interp_matrix(n: int, size: int, factor: int, dtype) -> np.ndarray:
+    """(size, n) bilinear transposed convolution along one axis, cropped to size.
+
+    Entry [i, a] is the tap ``k1[i + pad - a * factor]`` that source cell a
+    gives output cell i, with pad = (len(k1) - factor) // 2, or 0 off the kernel.
+    """
+    k1 = bilinear_kernel(factor).astype(dtype)
+    taps = np.arange(size)[:, None] + (k1.size - factor) // 2 - factor * np.arange(n)
+    inside = (taps >= 0) & (taps < k1.size)
+    mat = np.zeros((size, n), dtype=dtype)
+    mat[inside] = k1[taps[inside]]
+    return mat
+
+
 def upsample(x: Tensor, factor: int, out_hw: tuple[int, int] | None = None) -> Tensor:
     """Upsample each channel by an integer factor via transposed convolution.
 
     The kernel is the fixed bilinear one (outer product of
-    ``bilinear_kernel``). Interior values interpolate exactly; borders decay
-    because the implicit padding is zero. ``out_hw`` crops the top-left
-    corner of the result, which undoes the replication padding a pooling
-    ladder may have added.
+    ``bilinear_kernel``), so the op is ``rows @ x @ cols.T`` with one
+    interpolation matrix per axis. Interior values interpolate exactly;
+    borders decay because the implicit padding is zero. ``out_hw`` keeps the
+    top-left corner of the result (the matrices' row counts), which undoes
+    the replication padding a pooling ladder may have added.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"factor must be a positive integer, got {factor}")
     factor = int(factor)
     if x.data.ndim != 3:
         raise ValueError(f"upsample input must be CxHxW, got {x.shape}")
-    c, h, w = x.shape
-    k1 = bilinear_kernel(factor)
-    # In the input's dtype: a float64 kernel entry would promote a float32
-    # map to float64.
-    wd = np.outer(k1, k1).astype(x.data.dtype)
-    k = k1.size
-    pad = (k - factor) // 2
-
-    full_h, full_w = (h - 1) * factor + k, (w - 1) * factor + k
-    full = np.zeros((c, full_h, full_w), dtype=x.data.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            full[:, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor] += (
-                wd[ki, kj] * x.data
-            )
+    _, h, w = x.shape
     th, tw = out_hw if out_hw is not None else (h * factor, w * factor)
     if th < 1 or tw < 1 or th > h * factor or tw > w * factor:
         raise ValueError(f"crop target {(th, tw)} outside upsampled extent {(h * factor, w * factor)}")
-    y = np.ascontiguousarray(full[:, pad : pad + th, pad : pad + tw])
+    rows = _interp_matrix(h, th, factor, x.data.dtype)
+    cols = _interp_matrix(w, tw, factor, x.data.dtype)
 
-    res = _result(y, (x,))
+    res = _result(rows @ x.data @ cols.T, (x,))
     if res.requires_grad:
 
         def _bw(grad):
-            gfull = np.zeros((c, full_h, full_w), dtype=x.data.dtype)
-            gfull[:, pad : pad + th, pad : pad + tw] = grad
-            dx = np.zeros_like(x.data)
-            for ki in range(k):
-                for kj in range(k):
-                    dx += wd[ki, kj] * gfull[
-                        :, ki : ki + factor * (h - 1) + 1 : factor, kj : kj + factor * (w - 1) + 1 : factor
-                    ]
-            _accumulate(x, dx, owned=True)
+            _accumulate(x, rows.T @ grad @ cols, owned=True)
 
         res._backward = _bw
     return res

@@ -2,8 +2,8 @@
 
 Levels are separated by 2x2 max pooling, so the side output tapped at level
 n sees the input at stride 2**(n-1). Each head is a zero-initialized 1x1
-convolution followed by fixed bilinear upsampling back to the input
-resolution, which makes a fresh stage start from all-zero side logits.
+convolution, which makes a fresh stage start from all-zero side logits;
+above level 1, fixed bilinear upsampling brings it back to input resolution.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ class SubNet:
             for weight, bias in layers:
                 cur = relu(ops.conv2d(cur, weight, bias))
             logits = ops.conv2d(cur, *self.heads[lvl - 1])
-            factor = 2 ** (lvl - 1)
-            side.append(upsample(logits, factor, out_hw=(h, w)))
+            if lvl > 1:
+                logits = upsample(logits, 2 ** (lvl - 1), out_hw=(h, w))
+            side.append(logits)
         return side

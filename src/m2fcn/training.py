@@ -234,13 +234,14 @@ def train(net: M2FCN, data, schedule: TrainSchedule, out_dir=None) -> TrainResul
 def train_pipeline(config: NetworkConfig, data, schedule: TrainSchedule, out_dir=None):
     """Pretrain stage 1, seed the full network with it, run phase 2.
 
-    Returns (TrainResult, pretrain log).
+    Returns (TrainResult, pretrain log). A diverged phase 1 ends the run with
+    an aborted result, an empty log and stage 1 as phase 1 rolled it back.
     """
     state1, pre_log, pre_aborted = pretrain_stage1(config, data, schedule)
     net = M2FCN(config, {**initial_values(config, schedule.seed), **state1})
-    result = train(net, data, schedule, out_dir=out_dir)
-    result.aborted = result.aborted or pre_aborted
-    return result, pre_log
+    if pre_aborted:
+        return TrainResult(net, aborted=True), pre_log
+    return train(net, data, schedule, out_dir=out_dir), pre_log
 
 
 def loss_log_csv(log: list[dict], stages: int) -> str:

@@ -1,6 +1,7 @@
 """Configuration resolution and the command-line surface."""
 
 import csv
+import os
 import re
 import shutil
 import subprocess
@@ -297,6 +298,23 @@ def test_cli_rerun_byte_identical(workdir):
     ).read_text()
 
 
+def test_cli_train_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # A second BLAS thread changes no byte of the checkpoint or the logs.
+    data = tmp_path / "data"
+    r = run_cli(["synth", "--out", str(data), "--set", "data.height=128", "--set", "data.width=128",
+                 "--set", "data.n_train=2", "--set", "data.n_test=1"])
+    assert r.returncode == 0, r.stderr
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        r = run_cli(["train", "--data", str(data), "--out", str(out), "--set", "network.widths=32,64,64",
+                     "--set", "train.phase1_iters=3", "--set", "train.phase2_iters=3"], env=env)
+        assert r.returncode == 0, r.stderr
+        blobs.append([(out / name).read_bytes() for name in ("model.m2f", "loss_log.csv", "pretrain_log.csv")])
+    assert blobs[0] == blobs[1]
+
+
 def test_cli_predict_then_eval(workdir):
     pred = workdir / "pred"
     r = run_cli(
@@ -424,6 +442,20 @@ def test_cli_train_bad_rate_exits_2_before_training(workdir, tmp_path, setting):
     assert r.returncode == 2
     assert r.stderr.startswith(f"error: {setting.split('=')[0]} must be"), r.stderr
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_train_phase1_divergence_exits_1_without_phase2(workdir, tmp_path):
+    out = tmp_path / "run"
+    r = run_cli(["train", "--data", str(workdir / "data"), "--out", str(out),
+                 "--set", "train.phase1_iters=40", "--set", "train.phase1_lr=2e-3",
+                 "--set", "train.phase2_iters=6"])
+    assert r.returncode == 1, r.stderr
+    assert "training diverged" in r.stderr
+    with open(out / "loss_log.csv") as fh:
+        assert list(csv.reader(fh)) == [["iteration", "fused_loss_stage1", "fused_loss_stage2", "total_loss"]]
+    with open(out / "pretrain_log.csv") as fh:
+        assert 1 < len(list(csv.reader(fh))) < 1 + 40
+    assert (out / "model.m2f").is_file()
 
 
 def test_cli_exit_code_usage_errors(tmp_path):

@@ -259,12 +259,41 @@ def test_upsample_ramp_matches_pointwise_oracle():
     assert np.allclose(got, bilinear_upsample_pointwise(x, 2), atol=1e-12)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
-@settings(max_examples=20, deadline=None)
-def test_upsample_matches_pointwise_oracle(seed, factor):
-    x = np.random.default_rng(seed).normal(size=(1, 3, 2))
-    got = upsample(t(x), factor).data
-    assert np.allclose(got, bilinear_upsample_pointwise(x, factor), atol=1e-10)
+def _upsample_draw(seed, factor, dtype):
+    """A random map and a random ``out_hw`` crop of its upsampled extent."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 4, size=2)
+    x = rng.normal(size=(2, h, w)).astype(dtype)
+    out_hw = (int(rng.integers(1, h * factor + 1)), int(rng.integers(1, w * factor + 1)))
+    return x, out_hw
+
+
+UPSAMPLE_DRAWS = (st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8, 16]),
+                  st.sampled_from([np.float32, np.float64]))
+
+
+@given(*UPSAMPLE_DRAWS)
+@settings(max_examples=30, deadline=None)
+def test_upsample_matches_pointwise_oracle(seed, factor, dtype):
+    x, out_hw = _upsample_draw(seed, factor, dtype)
+    y = upsample(Tensor(x), factor, out_hw)
+    assert y.data.dtype == dtype and y.shape == (2, *out_hw)
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    assert np.allclose(y.data, bilinear_upsample_pointwise(x.astype(np.float64), factor, out_hw), atol=tol)
+
+
+@given(*UPSAMPLE_DRAWS)
+@settings(max_examples=30, deadline=None)
+def test_upsample_backward_is_the_adjoint(seed, factor, dtype):
+    # <upsample(x), g> = <x, dx> for the gradient dx that g sends back.
+    x, out_hw = _upsample_draw(seed, factor, dtype)
+    g = np.random.default_rng(seed + 1).normal(size=(2, *out_hw)).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    y = upsample(xt, factor, out_hw)
+    (y * Tensor(g)).sum().backward()
+    assert xt.grad.dtype == dtype
+    lhs, rhs = np.vdot(y.data, g), np.vdot(x, xt.grad)
+    assert abs(lhs - rhs) <= (1e-10 if dtype == np.float64 else 1e-5 * (1.0 + abs(lhs)))
 
 
 def test_upsample_out_hw_crop_matches_oracle():

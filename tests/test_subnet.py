@@ -116,7 +116,7 @@ def test_same_seed_same_parameters():
 def test_single_level_head_is_identity_scale():
     cfg = SubNetConfig(levels=(LevelSpec(1, 4),))
     net, _ = build_subnet(cfg, seed=0)
-    # factor-1 upsample means the head output is exactly the 1x1 conv result
+    # level 1 is not upsampled: its side output is the 1x1 head conv itself
     x = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 6, 6)))
     outs = net.forward(x)
     assert len(outs) == 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from m2fcn import training
 from m2fcn.autodiff import Tensor
 from m2fcn.data import Augmented, Sample, augment36, synth_corpus
-from m2fcn.network import NetworkConfig, build_network
+from m2fcn.network import NetworkConfig, build_network, initial_values
 from m2fcn.subnet import LevelSpec, SubNetConfig
 from m2fcn.training import (
     SGD,
@@ -386,6 +386,23 @@ def test_divergent_run_restores_parameters_of_last_logged_row(monkeypatch, image
     for name, value in result.network.state().items():
         assert value.tobytes() == snapshots[-1][name].tobytes(), name
         assert np.isfinite(value).all(), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_phase1_divergence_ends_the_run(monkeypatch):
+    # Stage 1 keeps the values that scored the pretrain log's last row (the
+    # last snapshot), every other stage its starting values; no phase 2 runs.
+    snapshots = []
+    monkeypatch.setattr(training.SGD, "step", snapshotting(training.SGD.step, snapshots))
+    sched = TrainSchedule(phase1_iters=40, phase1_lr=2e-3, phase2_iters=5, seed=0)
+    result, pre_log = train_pipeline(TOY, corpus(2), sched)
+    assert result.aborted and result.log == []
+    assert 3 <= len(pre_log) < 40 and len(snapshots) == len(pre_log)
+    start = initial_values(TOY, 0)
+    for name, value in result.network.state().items():
+        want = snapshots[-1].get(name, start[name])
+        assert value.tobytes() == want.tobytes(), name
+    assert set(snapshots[-1]) < set(start)
 
 
 def test_train_peak_stays_near_two_parameter_sets():
